@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 #include <span>
 
 #include "base/logging.hh"
@@ -961,13 +960,13 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
     const int phase2Round = static_cast<int>(
         std::floor(rounds * (1.0 - phase)));
 
-    // Workers beyond the host's cores (or the portfolio size) only
-    // add pool and barrier latency; the winner is jobs-invariant by
-    // construction, so clamping is unobservable in the result. A
-    // negative jobs value bypasses the host-core clamp so the
-    // threaded path can be exercised (e.g. under TSan) on any host.
-    int hwCores = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    // Workers beyond the CPUs this thread may use (or the portfolio
+    // size) only add pool and barrier latency; the winner is
+    // jobs-invariant by construction, so clamping is unobservable in
+    // the result. A negative jobs value bypasses the host-core clamp
+    // so the threaded path can be exercised (e.g. under TSan) on any
+    // host.
+    int hwCores = runner::defaultJobs();
     int effJobs = opts.jobs < 0
                       ? std::min(-opts.jobs, seeds)
                       : std::min({opts.jobs, seeds, hwCores});

@@ -1,5 +1,7 @@
 #include "runner/pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace pipestitch::runner {
@@ -7,6 +9,15 @@ namespace pipestitch::runner {
 int
 defaultJobs()
 {
+    // The CPUs this thread may run on: an affinity mask (taskset,
+    // a container's cpuset) can be far narrower than the machine.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        int n = CPU_COUNT(&set);
+        if (n > 0)
+            return n;
+    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -29,7 +29,11 @@
 
 namespace pipestitch::runner {
 
-/** Default worker count: the machine's hardware concurrency. */
+/**
+ * Default worker count: the CPUs in the calling thread's affinity
+ * mask (sched_getaffinity), or the hardware concurrency when the
+ * mask cannot be read.
+ */
 int defaultJobs();
 
 class ThreadPool

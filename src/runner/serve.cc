@@ -124,6 +124,7 @@ parseRequest(const std::string &line, const RunConfig &base,
         cfg.sim.maxCycles = c->asInt(cfg.sim.maxCycles);
     if (const auto *tf = v.find("trace_file"))
         out.traceFile = tf->asString();
+    bool explicitParallel = false;
     if (const auto *s = v.find("scheduler")) {
         const std::string name = s->asString();
         if (name == "dense") {
@@ -133,6 +134,7 @@ parseRequest(const std::string &line, const RunConfig &base,
         } else if (name == "parallel") {
             cfg.sim.scheduler =
                 sim::SimConfig::Scheduler::ParallelRegions;
+            explicitParallel = true;
         } else {
             error = "unknown scheduler '" + name +
                     "' (expected dense, ready, or parallel)";
@@ -141,12 +143,11 @@ parseRequest(const std::string &line, const RunConfig &base,
     }
     // Tracing requires the observed single-engine path; the
     // parallel engine runs unobserved (its contract is bit-identical
-    // *stats*, not an event stream). Reject the combination up
-    // front with a structured error rather than silently falling
-    // back.
-    if (cfg.sim.scheduler ==
-            sim::SimConfig::Scheduler::ParallelRegions &&
-        !out.traceFile.empty()) {
+    // *stats*, not an event stream). A request that names the
+    // parallel scheduler and a trace gets a structured error rather
+    // than a silent fallback; one that names no scheduler takes the
+    // default, whose observed runs use the ReadyList oracle.
+    if (explicitParallel && !out.traceFile.empty()) {
         error = "\"trace_file\" cannot be combined with "
                 "\"scheduler\": \"parallel\" — tracing needs an "
                 "observed run; use the ready scheduler";

@@ -21,10 +21,18 @@ ExecutionState::ExecutionState(std::shared_ptr<const Program> program)
       graph(prog.graph()), cfg(prog.cfg),
       sourceMode(prog.sourceMode), readyMode(prog.readyMode)
 {
-    reset();
+    // The AoS oracle state is built by reset() on the first run that
+    // takes the oracle path; runs handed to the ParallelEngine never
+    // allocate it.
 }
 
 ExecutionState::~ExecutionState() = default;
+
+const EngineCounters *
+ExecutionState::engineCounters() const
+{
+    return parEngine ? &parEngine->counters() : nullptr;
+}
 
 void
 ExecutionState::reset()

@@ -36,6 +36,7 @@
 namespace pipestitch::sim {
 
 class ParallelEngine;
+struct EngineCounters;
 
 /** Per-run knobs stripped from the Program's SimConfig. */
 struct RunOptions
@@ -69,6 +70,10 @@ class ExecutionState
     SimResult run(MemImage &mem, const RunOptions &opts = {});
 
     const Program &program() const { return prog; }
+
+    /** The ParallelRegions engine's choices and last-run counters;
+     *  null until a run has taken the engine path. */
+    const EngineCounters *engineCounters() const;
 
   private:
     /** Why a node did not fire this cycle. */

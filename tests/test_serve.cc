@@ -306,6 +306,37 @@ TEST(Serve, ParallelSchedulerMatchesReadyAndRejectsTracing)
         << field(vu, "error");
 }
 
+TEST(Serve, TraceWithoutSchedulerRunsTheObservedOracle)
+{
+    // ParallelRegions is the default scheduler, but a traced request
+    // that names no scheduler must not be refused: its observed run
+    // takes the ReadyList oracle, whose results equal the default
+    // engine's untraced ones.
+    namespace fs = std::filesystem;
+    fs::path dir =
+        fs::temp_directory_path() / "ps_serve_default_trace_test";
+    fs::create_directories(dir);
+    fs::path trace = dir / "default.trace.json";
+    fs::remove(trace);
+
+    ServeServer server(withJobs(1));
+    std::string traced = scaleRequest("t", 5);
+    ASSERT_EQ(traced.find("scheduler"), std::string::npos);
+    traced.insert(traced.size() - 1, ",\"trace_file\":\"" +
+                                         trace.string() + "\"");
+    JsonValue vt =
+        parseResponse(ServeServer::render(server.submit(traced)));
+    EXPECT_EQ(field(vt, "status"), "ok") << field(vt, "error");
+    EXPECT_TRUE(fs::exists(trace));
+
+    JsonValue vd = parseResponse(
+        ServeServer::render(server.submit(scaleRequest("d", 5))));
+    EXPECT_EQ(field(vd, "status"), "ok");
+    EXPECT_EQ(vt.find("cycles")->asInt(), vd.find("cycles")->asInt());
+    EXPECT_EQ(field(vt, "mem_hash"), field(vd, "mem_hash"));
+    fs::remove_all(dir);
+}
+
 TEST(Serve, LoopPumpsRequestsInSubmissionOrder)
 {
     ServeServer server(withJobs(2));
