@@ -1,13 +1,14 @@
 #include "sim/simulator.hh"
 
 #include "sim/execution.hh"
+#include "sim/parallel.hh"
 #include "sim/program.hh"
 
 namespace pipestitch::sim {
 
 SimResult
 simulate(const dfg::Graph &graph, MemImage &mem,
-         const SimConfig &config)
+         const SimConfig &config, EngineCounters *counters)
 {
     // One-shot path: build the immutable Program and run a single
     // ExecutionState over it. The graph outlives this call, so a
@@ -19,8 +20,12 @@ simulate(const dfg::Graph &graph, MemImage &mem,
     auto program =
         std::make_shared<const Program>(std::move(hold), config);
     ExecutionState exec(std::move(program));
-    return exec.run(mem, RunOptions{config.observer, config.trace,
-                                    config.maxCycles});
+    SimResult r = exec.run(mem, RunOptions{config.observer,
+                                           config.trace,
+                                           config.maxCycles});
+    if (counters && exec.engineCounters())
+        *counters = *exec.engineCounters();
+    return r;
 }
 
 } // namespace pipestitch::sim

@@ -330,24 +330,31 @@ TEST_P(Fuzz, AllVariantsMatchGolden)
                 expectCertified(res.graph, seed, depth);
                 // Both schedulers: results are bit-identical by the
                 // engine contract, and the throughput bound must
-                // hold under each.
-                for (auto sched :
-                     {sim::SimConfig::Scheduler::ReadyList,
-                      sim::SimConfig::Scheduler::ParallelRegions}) {
+                // hold under each. threads = 0 is the ReadyList
+                // run; the parallel engine runs two regions inline
+                // (threads = 1) and on two workers (threads = 2),
+                // so region boundaries, cross-region wakes and the
+                // K-way merge are exercised.
+                for (int threads : {0, 1, 2}) {
                     auto cfg = res.simConfig;
                     cfg.bufferDepth = depth;
                     cfg.maxCycles = 3'000'000;
-                    cfg.scheduler = sched;
+                    cfg.scheduler =
+                        threads == 0
+                            ? sim::SimConfig::Scheduler::ReadyList
+                            : sim::SimConfig::Scheduler::
+                                  ParallelRegions;
                     cfg.parallelJobs = 2;
+                    cfg.parallelThreads = threads;
                     scalar::MemImage mem = init;
                     auto sim = sim::simulate(res.graph, mem, cfg);
                     std::string tag =
                         std::string(compiler::archVariantName(v)) +
                         " depth " + std::to_string(depth) +
-                        (sched == sim::SimConfig::Scheduler::
-                                      ParallelRegions
-                             ? " parallel"
-                             : " readylist");
+                        (threads == 0
+                             ? " readylist"
+                             : " parallel threads=" +
+                                   std::to_string(threads));
                     ASSERT_FALSE(sim.deadlocked)
                         << "seed " << seed << " " << tag << "\n"
                         << sim.diagnostic << "\n"
