@@ -45,6 +45,46 @@ TEST(Rng, DifferentSeedsDiffer)
     EXPECT_LT(same, 3);
 }
 
+// Known-answer stream: the same generator draws every workload's
+// data and every mapper move, so any change to seeding, next() or
+// nextDouble() would silently change every experiment. Each seed's
+// values are one stream: eight next() draws, then four
+// nextDouble() draws.
+TEST(Rng, KnownAnswerStream)
+{
+    struct Answer
+    {
+        uint64_t seed;
+        uint64_t next[8];
+        double unit[4];
+    };
+    const Answer answers[] = {
+        {0x9e3779b97f4a7c15ull,
+         {0x422ea740d0977210ull, 0xe062b061b42e2928ull,
+          0x5a071fc5930841b6ull, 0x01334ef8ed3cc2bdull,
+          0xe45cbd6a2d9e96dbull, 0x3bc1fe841a5f292full,
+          0x60001d95ebbbd8e6ull, 0xa0aee00b5b303762ull},
+         {0x1.3c4791aea299ep-1, 0x1.f8f36ceb434edp-1,
+          0x1.a860f2fd632a4p-1, 0x1.763078e3010bcp-2}},
+        {42,
+         {0x15780b2e0c2ec716ull, 0x6104d9866d113a7eull,
+          0xae17533239e499a1ull, 0xecb8ad4703b360a1ull,
+          0xfde6dc7fe2ec5e64ull, 0xc50da53101795238ull,
+          0xb82154855a65ddb2ull, 0xd99a2743ebe60087ull},
+         {0x1.85d2dce4dd2ecp-1, 0x1.2aacc2beeebf7p-1,
+          0x1.5d6a766818207p-1, 0x1.29a76e61cebe2p-2}},
+    };
+    for (const Answer &a : answers) {
+        Rng rng(a.seed);
+        for (uint64_t want : a.next)
+            EXPECT_EQ(rng.next(), want) << "seed " << a.seed;
+        for (double want : a.unit)
+            EXPECT_EQ(rng.nextDouble(), want) << "seed " << a.seed;
+    }
+    // The default constructor seeds with the first answer's seed.
+    EXPECT_EQ(Rng().next(), answers[0].next[0]);
+}
+
 TEST(Rng, BoundedStaysInBounds)
 {
     Rng rng(7);

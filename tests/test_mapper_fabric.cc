@@ -5,11 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "compiler/compile.hh"
+#include "compiler/timemux.hh"
 #include "core/system.hh"
 #include "fabric/area.hh"
 #include "fabric/fabric.hh"
 #include "mapper/mapper.hh"
+#include "mapper/tiled.hh"
+#include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
 using namespace pipestitch;
@@ -357,4 +368,220 @@ TEST(Fabric, CustomMixesWork)
     auto run = runOnFabric(kernel, cfg); // golden-checked
     EXPECT_TRUE(run.mapping.success);
     EXPECT_GT(run.cycles(), 0);
+}
+
+// --- golden placements --------------------------------------------------
+//
+// The mapper's output is pinned across commits: every shipped .sir
+// kernel, smallKernels(1) and paperKernels(1), each under Pipestitch
+// and RipTide, plus one time-multiplexed and one tiled case, are
+// fingerprinted against tests/golden_mappings.txt. A speed change to
+// the anneal must leave every RNG draw and accept decision — and so
+// every fingerprint — unchanged. Regenerate (only for an intended
+// quality change) by running the test binary with
+// PS_UPDATE_GOLDENS=1 and --gtest_filter=Mapper.GoldenPlacements.
+
+namespace {
+
+uint64_t
+fnv1a(uint64_t h, int64_t v)
+{
+    for (int byte = 0; byte < 8; byte++) {
+        h ^= static_cast<uint64_t>(v >> (byte * 8)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+uint64_t
+mappingFingerprint(const mapper::Mapping &m)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (int pe : m.peOf)
+        h = fnv1a(h, pe);
+    for (int r : m.routerOf)
+        h = fnv1a(h, r);
+    for (const auto &ports : m.hopsOf) {
+        h = fnv1a(h, static_cast<int64_t>(ports.size()));
+        for (int hops : ports)
+            h = fnv1a(h, hops);
+    }
+    h = fnv1a(h, std::bit_cast<int64_t>(m.cost));
+    h = fnv1a(h, m.totalWireLength);
+    h = fnv1a(h, m.winningSeed);
+    h = fnv1a(h, m.seedsEarlyExited);
+    h = fnv1a(h, m.seedsHalved);
+    return h;
+}
+
+std::string
+goldenLine(const mapper::Mapping &m)
+{
+    std::ostringstream line;
+    line << " fp=" << std::hex << mappingFingerprint(m) << std::dec
+         << " success=" << (m.success ? 1 : 0) << " cost=" << m.cost
+         << " wl=" << m.totalWireLength << " seed=" << m.winningSeed;
+    return line.str();
+}
+
+/** One mapper input: a graph plus the options that vary per case. */
+struct GoldenCase
+{
+    std::string tag;
+    dfg::Graph graph;
+    compiler::ShareGroups shareGroups;
+    fabric::Topology topo; // default: the paper's single 8x8 grid
+};
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    std::vector<GoldenCase> cases;
+    const ArchVariant variants[] = {ArchVariant::Pipestitch,
+                                    ArchVariant::RipTide};
+
+    std::vector<std::filesystem::path> sirFiles;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(KERNEL_DIR)) {
+        if (entry.path().extension() == ".sir")
+            sirFiles.push_back(entry.path());
+    }
+    std::sort(sirFiles.begin(), sirFiles.end());
+    for (const auto &path : sirFiles) {
+        std::ifstream in(path);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        auto parsed = sir::parseSir(ss.str(), path.string());
+        // Unbound live-ins default to 0, as in `pstool map`.
+        std::vector<sir::Word> liveIns(
+            parsed.program.liveIns.size(), 0);
+        for (ArchVariant v : variants) {
+            compiler::CompileOptions opts;
+            opts.variant = v;
+            cases.push_back(
+                {"sir/" + path.stem().string() + "/" +
+                     compiler::archVariantName(v),
+                 compiler::compileProgram(parsed.program, liveIns,
+                                          opts)
+                     .graph,
+                 {},
+                 {}});
+        }
+    }
+    auto addWorkloads = [&](const char *set, auto &&kernels) {
+        for (const auto &k : kernels) {
+            for (ArchVariant v : variants) {
+                cases.push_back({std::string(set) + "/" + k.name +
+                                     "/" +
+                                     compiler::archVariantName(v),
+                                 compiledGraph(k, v),
+                                 {},
+                                 {}});
+            }
+        }
+    };
+    addWorkloads("small", workloads::smallKernels(1));
+    addWorkloads("paper", workloads::paperKernels(1));
+
+    // Time-multiplexed: unrolled Dither over-subscribes the arith
+    // PEs, so share groups fold cold operators onto shared PEs.
+    {
+        auto k = workloads::makeDither(16, 8, 2);
+        compiler::CompileOptions opts;
+        opts.variant = ArchVariant::Pipestitch;
+        opts.unrollFactor = 2;
+        auto g = compiler::compileProgram(k.prog, k.liveIns, opts)
+                     .graph;
+        auto groups = compiler::planTimeMultiplexing(
+            g, fabric::FabricConfig{});
+        EXPECT_FALSE(groups.empty());
+        cases.push_back({"tm/dither_u2/Pipestitch", std::move(g),
+                         std::move(groups),
+                         {}});
+    }
+    // Narrow links: the congestion term arms during the anneal and
+    // the repair stage runs.
+    {
+        fabric::Topology narrow;
+        narrow.tile.linkCapacity = 3;
+        cases.push_back(
+            {"cap3/SpMSpMd/Pipestitch",
+             compiledGraph(workloads::makeSpMSpMd(8, 0.8, 1),
+                           ArchVariant::Pipestitch),
+             {},
+             narrow});
+    }
+    // Tiled: partition-then-place onto a 2x2 grid of 4x4 tiles.
+    {
+        fabric::Topology tiles;
+        std::string err;
+        EXPECT_TRUE(
+            fabric::parseFabricSpec("4x4,tiles=2x2", tiles, &err))
+            << err;
+        cases.push_back(
+            {"tiled/spmv/Pipestitch",
+             compiledGraph(workloads::makeSpmv(16, 0.8, 1),
+                           ArchVariant::Pipestitch),
+             {},
+             tiles});
+    }
+    return cases;
+}
+
+mapper::Mapping
+mapCase(const GoldenCase &c, int jobs)
+{
+    mapper::MapperOptions opts;
+    opts.jobs = jobs;
+    opts.shareGroups = c.shareGroups;
+    if (!c.topo.singleTile())
+        return mapper::mapGraphTiled(c.graph, c.topo, opts).merged;
+    return mapper::mapGraph(c.graph, Fabric(c.topo), opts);
+}
+
+} // namespace
+
+TEST(Mapper, GoldenPlacements)
+{
+    setQuiet(true);
+    const bool update = std::getenv("PS_UPDATE_GOLDENS") != nullptr;
+    std::map<std::string, std::string> golden;
+    if (!update) {
+        std::ifstream in(GOLDEN_MAPPINGS_FILE);
+        ASSERT_TRUE(in.good())
+            << "missing " << GOLDEN_MAPPINGS_FILE
+            << " (run with PS_UPDATE_GOLDENS=1 to create)";
+        std::string tag, line;
+        while (in >> tag && std::getline(in, line))
+            golden[tag] = line;
+    }
+
+    std::ostringstream out;
+    size_t checked = 0;
+    for (const GoldenCase &c : goldenCases()) {
+        // Default options, then forced portfolio worker threads:
+        // both must reproduce the recorded placement exactly.
+        std::string line = goldenLine(mapCase(c, 1));
+        EXPECT_EQ(goldenLine(mapCase(c, -2)), line)
+            << c.tag << " jobs=-2";
+        if (update) {
+            out << c.tag << line << "\n";
+            continue;
+        }
+        auto it = golden.find(c.tag);
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden entry for " << c.tag
+                          << " (regenerate golden_mappings.txt)";
+            continue;
+        }
+        EXPECT_EQ(it->second, line) << c.tag;
+        checked++;
+    }
+    if (update) {
+        std::ofstream outFile(GOLDEN_MAPPINGS_FILE);
+        ASSERT_TRUE(outFile.good()) << GOLDEN_MAPPINGS_FILE;
+        outFile << out.str();
+        GTEST_SKIP() << "goldens regenerated, rerun to verify";
+    }
+    EXPECT_EQ(checked, golden.size()) << "stale golden entries";
 }
