@@ -16,12 +16,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -29,20 +23,6 @@ Rng::Rng(uint64_t seed)
     uint64_t x = seed;
     for (auto &word : s)
         word = splitmix64(x);
-}
-
-uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(s[1] * 5, 7) * 9;
-    uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
 }
 
 uint64_t
@@ -64,12 +44,6 @@ Rng::nextRange(int64_t lo, int64_t hi)
     ps_assert(lo <= hi, "nextRange requires lo <= hi");
     uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 bool

@@ -8,12 +8,6 @@
 
 namespace pipestitch::fabric {
 
-int
-manhattan(Coord a, Coord b)
-{
-    return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
 namespace {
 
 bool

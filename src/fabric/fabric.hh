@@ -15,6 +15,7 @@
 #ifndef PIPESTITCH_FABRIC_FABRIC_HH
 #define PIPESTITCH_FABRIC_FABRIC_HH
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,13 @@ struct Coord
     bool operator==(const Coord &other) const = default;
 };
 
-/** Manhattan distance (the NoC is a 2-D mesh). */
-int manhattan(Coord a, Coord b);
+/** Manhattan distance (the NoC is a 2-D mesh). Inline: the
+ *  mapper's move pricing calls it several times per anneal step. */
+inline int
+manhattan(Coord a, Coord b)
+{
+    return std::abs(a.x - b.x) + std::abs(a.y - b.y);
+}
 
 struct FabricConfig
 {

@@ -5,13 +5,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <span>
 
 #include "base/logging.hh"
 #include "base/random.hh"
+#include "mapper/metropolis.hh"
 #include "mapper/routecost.hh"
 #include "runner/pool.hh"
 
@@ -68,7 +67,7 @@ struct Tree
  * circuit-switched route counts and `overflow` the total wires above
  * capacity; both are maintained incrementally per move.
  */
-struct Candidate
+struct Placement
 {
     std::vector<int> pos;        // rep → grid index; -1 unplaced
     std::vector<Coord> coord;    // rep → coordinates ({0,0} trigger)
@@ -76,18 +75,32 @@ struct Candidate
     int64_t wl = 0;
     std::vector<int> load; // per link; valid when congestionOn
     int64_t overflow = 0;
+    std::vector<NodeId> occupant; // per PE
+    std::vector<int> routerLoad;  // per router (CF slots)
+};
+
+/**
+ * A placement plus the move machinery of one anneal: scratch
+ * buffers, RNG stream, schedule and race state. The scratch is only
+ * meaningful within one move, so restoring a Placement snapshot
+ * (polish) leaves it as it is. initCandidate() restarts everything
+ * but the RNG (seeded by whichever phase draws from it), keeping
+ * buffer capacity, so one Candidate serves the basin probe, the
+ * polish and the repair in turn.
+ */
+struct Candidate : Placement
+{
     // Move-local link-delta accumulator (evaluate-then-commit): a
     // rejected move never touches `load`, it only resets these.
     std::vector<int> deltaLoad;
     std::vector<size_t> touchedLinks;
     std::vector<uint32_t> linkStamp;
     uint32_t linkEpoch = 0;
-    std::vector<NodeId> occupant; // per PE
-    std::vector<int> routerLoad;  // per router (CF slots)
     routecost::ClaimScratch scratch;
     std::vector<uint32_t> treeStamp; // move-local tree dedupe
     uint32_t treeEpoch = 0;
     std::vector<int> affected; // scratch: trees touched by a move
+    std::vector<uint8_t> look; // descend()'s don't-look bits
     mutable std::vector<int> snapLoad; // chunk-snapshot loads
     mutable routecost::ClaimScratch snapScratch;
     Rng rng{0};
@@ -109,7 +122,128 @@ struct Candidate
     // Best full-objective snapshot, updated at chunk barriers.
     double bestCost = 0;
     std::vector<int> bestPos;
+    // MapStats counters: anneal steps run and moves priced.
+    int64_t steps = 0;
+    int64_t priced = 0;
 };
+
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point &t)
+{
+    Clock::time_point now = Clock::now();
+    double ms =
+        std::chrono::duration<double, std::milli>(now - t).count();
+    t = now;
+    return ms;
+}
+
+void
+tally(MapStats &stats, const Candidate &c)
+{
+    stats.annealSteps += c.steps;
+    stats.movesPriced += c.priced;
+}
+
+/**
+ * Per move class, per grid slot: the other slots of that class
+ * sorted nearest-first, ties by index — the move generator's
+ * range-limited target lists. Flattened: one contiguous pool plus
+ * (offset, length) per [class][slot], which keeps the anneal's
+ * hottest lookup to two dependent loads.
+ */
+struct NearestLists
+{
+    // The layout the lists were built for: grid width and each
+    // PE's class.
+    int width = 0;
+    std::vector<PeClass> classes;
+    std::vector<int> pool;
+    std::vector<std::pair<int, int>> span; // cls * numPes + pos
+};
+
+/**
+ * The lists depend only on the fabric layout, so each thread keeps
+ * those of the last layout it mapped onto: a serve worker or a DSE
+ * sweep maps graph after graph onto one fabric. Built by counting
+ * sort on distance: each class's slots are in ascending index order
+ * and the bucket pass is stable, so every list comes out sorted by
+ * (distance, index).
+ */
+std::shared_ptr<const NearestLists>
+nearestLists(const Fabric &fab)
+{
+    thread_local std::shared_ptr<const NearestLists> last;
+    const int numPes = fab.numPes();
+    const int width = fab.config().width;
+    auto sameLayout = [&](const NearestLists &l) {
+        if (l.width != width ||
+            l.classes.size() != static_cast<size_t>(numPes))
+            return false;
+        for (int pe = 0; pe < numPes; pe++) {
+            if (l.classes[static_cast<size_t>(pe)] != fab.classAt(pe))
+                return false;
+        }
+        return true;
+    };
+    if (last && sameLayout(*last))
+        return last;
+
+    auto lists = std::make_shared<NearestLists>();
+    lists->width = width;
+    lists->classes.resize(static_cast<size_t>(numPes));
+    for (int pe = 0; pe < numPes; pe++)
+        lists->classes[static_cast<size_t>(pe)] = fab.classAt(pe);
+    lists->span.assign(static_cast<size_t>(kNumMoveClasses * numPes),
+                       {0, 0});
+    std::vector<int> &pool = lists->pool;
+    const int maxDist = width + fab.config().height - 2;
+    std::vector<int> bucket(static_cast<size_t>(maxDist) + 1);
+    std::vector<int> slots;
+    for (int cls = 0; cls < kNumMoveClasses; cls++) {
+        if (cls == kNocClass) {
+            slots.resize(static_cast<size_t>(numPes));
+            for (int pe = 0; pe < numPes; pe++)
+                slots[static_cast<size_t>(pe)] = pe;
+        } else {
+            const auto &supply =
+                fab.pesOfClass(static_cast<PeClass>(cls));
+            slots.assign(supply.begin(), supply.end());
+        }
+        for (int from : slots) {
+            Coord at = fab.coordOf(from);
+            auto dist = [&](int to) {
+                return fabric::manhattan(fab.coordOf(to), at);
+            };
+            // Count targets per distance (only `from` itself is at
+            // distance 0), then turn the counts into each distance's
+            // first offset.
+            std::fill(bucket.begin(), bucket.end(), 0);
+            for (int to : slots)
+                bucket[static_cast<size_t>(dist(to))]++;
+            bucket[0] = 0;
+            const int off = static_cast<int>(pool.size());
+            int next = off;
+            for (int &b : bucket) {
+                int count = b;
+                b = next;
+                next += count;
+            }
+            lists->span[static_cast<size_t>(cls * numPes + from)] = {
+                off, next - off};
+            pool.resize(static_cast<size_t>(next));
+            for (int to : slots) {
+                if (to != from)
+                    pool[static_cast<size_t>(
+                        bucket[static_cast<size_t>(dist(to))]++)] =
+                        to;
+            }
+        }
+    }
+    last = std::move(lists);
+    return last;
+}
 
 class MapperRun
 {
@@ -144,7 +278,7 @@ class MapperRun
                            : std::max(0, opts.annealIterations))
     {}
 
-    Mapping run();
+    Mapping run(MapStats &stats);
 
   private:
     // --- setup ----------------------------------------------------
@@ -182,6 +316,8 @@ class MapperRun
     double priceMove(Candidate &c, NodeId a, NodeId b, int fromPos,
                      int toPos, int64_t &wlDelta,
                      int64_t &dOf) const;
+    int64_t overflowDelta(Candidate &c, NodeId a, NodeId b,
+                          Coord fromC, Coord toC) const;
     void clearMoveDelta(Candidate &c) const;
     void commitMove(Candidate &c, int cls, NodeId a, NodeId b,
                     int fromPos, int toPos, int64_t dOf) const;
@@ -190,17 +326,20 @@ class MapperRun
     void runChunk(Candidate &c, int iters) const;
     bool shouldAbandon(const Candidate &c, double bound) const;
     void portfolio(std::vector<int> &winnerPos, int &winnerSeed,
-                   int &earlyExited, int &halved) const;
+                   int &earlyExited, int &halved, Candidate &probe,
+                   MapStats &stats, Clock::time_point &lap) const;
 
     // --- congestion repair / finish ------------------------------
     void candidateFromPos(Candidate &c,
                           const std::vector<int> &pos) const;
-    void polish(std::vector<int> &pos) const;
+    void polish(std::vector<int> &pos, Candidate &c,
+                MapStats &stats) const;
     std::vector<NodeId> collectCulprits(Candidate &c) const;
     void perturbCulprits(Candidate &c,
                          const std::vector<NodeId> &culprits) const;
     bool repairCongestion(std::vector<int> &pos,
-                          std::vector<NodeId> &implicated) const;
+                          std::vector<NodeId> &implicated,
+                          Candidate &c, MapStats &stats) const;
     void finishMapping(Mapping &m,
                        const std::vector<int> &pos) const;
 
@@ -219,19 +358,12 @@ class MapperRun
     std::vector<std::vector<NodeId>> byClass; // movable reps
     std::vector<int> classesInUse;
     std::vector<Coord> gridCoord; // grid index → coordinates
-    // Per move-class, per grid slot: the other slots of that class
-    // sorted nearest-first (ties by index) — the move generator's
-    // range-limited target lists.
-    // Flattened [cls][fromPos] -> nearest-first target list. One
-    // contiguous pool plus (offset, length) per slot keeps the
-    // anneal's hottest lookup to two dependent loads.
-    std::vector<int> nearPool;
-    std::vector<std::pair<int, int>> nearSpan; // cls*numPes + pos
+    std::shared_ptr<const NearestLists> near;
     std::span<const int> nearestFor(int cls, int fromPos) const
     {
-        const auto &[off, len] = nearSpan[static_cast<size_t>(
+        const auto &[off, len] = near->span[static_cast<size_t>(
             cls * fab.numPes() + fromPos)];
-        return {nearPool.data() + off, static_cast<size_t>(len)};
+        return {near->pool.data() + off, static_cast<size_t>(len)};
     }
     // CSR adjacency over representatives (wire edges, both
     // directions, multiplicity kept, same-rep edges dropped).
@@ -287,45 +419,7 @@ MapperRun::buildStructure()
     for (int pe = 0; pe < fab.numPes(); pe++)
         gridCoord[static_cast<size_t>(pe)] = fab.coordOf(pe);
 
-    nearPool.clear();
-    nearSpan.assign(
-        static_cast<size_t>(kNumMoveClasses * fab.numPes()),
-        {0, 0});
-    std::vector<int> list;
-    for (int cls : classesInUse) {
-        std::vector<int> slots;
-        if (cls == kNocClass) {
-            slots.resize(static_cast<size_t>(fab.numPes()));
-            for (int pe = 0; pe < fab.numPes(); pe++)
-                slots[static_cast<size_t>(pe)] = pe;
-        } else {
-            const auto &supply =
-                fab.pesOfClass(static_cast<PeClass>(cls));
-            slots.assign(supply.begin(), supply.end());
-        }
-        for (int from : slots) {
-            list.clear();
-            for (int to : slots) {
-                if (to != from)
-                    list.push_back(to);
-            }
-            Coord at = gridCoord[static_cast<size_t>(from)];
-            std::sort(list.begin(), list.end(),
-                      [&](int a, int b) {
-                          int da = fabric::manhattan(
-                              gridCoord[static_cast<size_t>(a)], at);
-                          int db = fabric::manhattan(
-                              gridCoord[static_cast<size_t>(b)], at);
-                          return da != db ? da < db : a < b;
-                      });
-            nearSpan[static_cast<size_t>(cls * fab.numPes() +
-                                         from)] = {
-                static_cast<int>(nearPool.size()),
-                static_cast<int>(list.size())};
-            nearPool.insert(nearPool.end(), list.begin(),
-                            list.end());
-        }
-    }
+    near = nearestLists(fab);
 
     // Rep-level adjacency from wire edges.
     std::vector<int> degree(n, 0);
@@ -446,6 +540,16 @@ MapperRun::initCandidate(Candidate &c) const
     c.scratch.ensure(numLinks);
     c.treeStamp.assign(trees.size(), 0);
     c.treeEpoch = 0;
+    c.wl = 0;
+    c.load.clear();
+    c.overflow = 0;
+    c.congestionOn = false;
+    c.itersDone = 0;
+    c.abandoned = c.boundExited = c.frozen = false;
+    c.chunkAccepts = 0;
+    c.bestCost = 0;
+    c.bestPos.clear();
+    c.steps = c.priced = 0;
     c.temp = opts.startTemperature;
     c.cooling =
         (perSeedIters > 0 && c.temp > 0.01)
@@ -757,65 +861,76 @@ MapperRun::verifyIncremental(const Candidate &c) const
  * occupied) WITHOUT mutating the candidate: an O(degree) scan over
  * the cached adjacency plus, when the congestion term is live, a
  * re-trace of the affected multicast trees into the move-local
- * delta buffers. An a–b edge prices to zero from both sides, so
- * swaps need no special casing. When congestion is on the caller
- * must either commitMove() or clearMoveDelta() before pricing the
- * next move.
+ * delta buffers. When congestion is on the caller must either
+ * commitMove() or clearMoveDelta() before pricing the next move.
+ *
+ * The wirelength delta needs only the new distances: the old ones
+ * are the cached partial sums nodeWl[a] and nodeWl[b]. Scanning a's
+ * edges from its new slot meets b at that same slot (distance 0),
+ * and b's scan meets a likewise, while an a–b edge really keeps its
+ * length d across a swap; each such edge was also counted (as d)
+ * in both partial sums, so it is added back as 2d. Integer
+ * arithmetic throughout, so the result is exactly the per-edge
+ * difference of old and new lengths.
  */
-double
+[[gnu::always_inline]] inline double
 MapperRun::priceMove(Candidate &c, NodeId a, NodeId b, int fromPos,
                      int toPos, int64_t &wlDelta,
                      int64_t &dOf) const
 {
+    c.priced++;
     Coord fromC = gridCoord[static_cast<size_t>(fromPos)];
     Coord toC = gridCoord[static_cast<size_t>(toPos)];
-    wlDelta = 0;
+    int64_t sum = -c.nodeWl[static_cast<size_t>(a)];
+    int abEdges = 0;
     for (int i = adjStart[static_cast<size_t>(a)];
          i < adjStart[static_cast<size_t>(a) + 1]; i++) {
         NodeId nb = adjNode[static_cast<size_t>(i)];
-        Coord oldP = nb == b ? toC
-                             : c.coord[static_cast<size_t>(nb)];
-        Coord newP = nb == b ? fromC
-                             : c.coord[static_cast<size_t>(nb)];
-        wlDelta += fabric::manhattan(toC, newP) -
-                   fabric::manhattan(fromC, oldP);
+        sum += fabric::manhattan(toC,
+                                 c.coord[static_cast<size_t>(nb)]);
+        abEdges += nb == b;
     }
     if (b != dfg::NoNode) {
+        sum -= c.nodeWl[static_cast<size_t>(b)];
         for (int i = adjStart[static_cast<size_t>(b)];
              i < adjStart[static_cast<size_t>(b) + 1]; i++) {
-            NodeId nb = adjNode[static_cast<size_t>(i)];
-            Coord oldP = nb == a
-                             ? fromC
-                             : c.coord[static_cast<size_t>(nb)];
-            Coord newP = nb == a
-                             ? toC
-                             : c.coord[static_cast<size_t>(nb)];
-            wlDelta += fabric::manhattan(fromC, newP) -
-                       fabric::manhattan(toC, oldP);
+            sum += fabric::manhattan(
+                fromC, c.coord[static_cast<size_t>(
+                           adjNode[static_cast<size_t>(i)])]);
         }
+        sum += 2 * abEdges * fabric::manhattan(fromC, toC);
     }
-
-    // Evaluate-then-commit: routes of the affected trees are traced
-    // into a move-local delta (old coordinates negative, proposed
-    // ones positive); `load` itself only changes on commit.
-    dOf = 0;
-    if (c.congestionOn) {
-        collectAffectedTrees(c, a, b);
-        c.linkEpoch++;
-        if (c.linkEpoch == 0) {
-            std::fill(c.linkStamp.begin(), c.linkStamp.end(), 0u);
-            c.linkEpoch = 1;
-        }
-        c.touchedLinks.clear();
-        traceAffectedDelta(c, -1);
-        traceAffectedDelta(c, +1, a, toC, b, fromC);
-        for (size_t l : c.touchedLinks) {
-            dOf += routecost::overflowDelta(c.load[l], linkCap,
-                                            c.deltaLoad[l]);
-        }
-    }
+    wlDelta = sum;
+    dOf = c.congestionOn ? overflowDelta(c, a, b, fromC, toC) : 0;
     return static_cast<double>(wlDelta) +
            opts.congestionWeight * static_cast<double>(dOf);
+}
+
+/**
+ * The congestion term of priceMove(), evaluate-then-commit: routes
+ * of the affected trees are traced into a move-local delta (old
+ * coordinates negative, proposed ones positive); `load` itself only
+ * changes on commit.
+ */
+int64_t
+MapperRun::overflowDelta(Candidate &c, NodeId a, NodeId b,
+                         Coord fromC, Coord toC) const
+{
+    collectAffectedTrees(c, a, b);
+    c.linkEpoch++;
+    if (c.linkEpoch == 0) {
+        std::fill(c.linkStamp.begin(), c.linkStamp.end(), 0u);
+        c.linkEpoch = 1;
+    }
+    c.touchedLinks.clear();
+    traceAffectedDelta(c, -1);
+    traceAffectedDelta(c, +1, a, toC, b, fromC);
+    int64_t dOf = 0;
+    for (size_t l : c.touchedLinks) {
+        dOf += routecost::overflowDelta(c.load[l], linkCap,
+                                        c.deltaLoad[l]);
+    }
+    return dOf;
 }
 
 void
@@ -876,11 +991,11 @@ MapperRun::annealStep(Candidate &c) const
     int64_t wlDelta = 0, dOf = 0;
     double delta = priceMove(c, a, b, fromPos, toPos, wlDelta, dOf);
     // Acceptance probability below exp(-30) ~ 1e-13: reject without
-    // paying for exp() — the cold tail is almost all such moves.
+    // a draw — the cold tail is almost all such moves.
     bool accept =
         delta <= 0 ||
         (delta < 30.0 * c.temp &&
-         c.rng.nextDouble() < std::exp(-delta / c.temp));
+         metropolisAccepts(c.rng.nextDouble(), delta, c.temp));
     if (accept) {
         commitMove(c, cls, a, b, fromPos, toPos, dOf);
         // Sideways (delta == 0) shuffles keep being accepted at any
@@ -901,6 +1016,7 @@ MapperRun::runChunk(Candidate &c, int iters) const
     // node); annealStep would then index an empty classesInUse.
     if (classesInUse.empty())
         return;
+    c.steps += iters;
     for (int i = 0; i < iters; i++) {
         annealStep(c);
         c.temp *= c.cooling;
@@ -927,7 +1043,8 @@ MapperRun::shouldAbandon(const Candidate &c, double bound) const
 
 void
 MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
-                     int &earlyExited, int &halved) const
+                     int &earlyExited, int &halved, Candidate &p,
+                     MapStats &stats, Clock::time_point &lap) const
 {
     std::vector<Candidate> cands(static_cast<size_t>(seeds));
     for (int k = 0; k < seeds; k++) {
@@ -966,10 +1083,10 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
     // the result. A negative jobs value bypasses the host-core clamp
     // so the threaded path can be exercised (e.g. under TSan) on any
     // host.
-    int hwCores = runner::defaultJobs();
-    int effJobs = opts.jobs < 0
-                      ? std::min(-opts.jobs, seeds)
-                      : std::min({opts.jobs, seeds, hwCores});
+    int effJobs = opts.jobs < 0   ? std::min(-opts.jobs, seeds)
+                  : opts.jobs <= 1 ? 1
+                                   : std::min({opts.jobs, seeds,
+                                               runner::defaultJobs()});
     runner::ThreadPool *pool = nullptr;
     std::unique_ptr<runner::ThreadPool> poolOwner;
     if (effJobs > 1 && rounds > 0) {
@@ -977,7 +1094,7 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
         pool = poolOwner.get();
     }
 
-    auto probeT0 = std::chrono::steady_clock::now();
+    stats.initMs += msSince(lap);
     // Basin probe: descend a copy of the greedy member's starting
     // placement to its local optimum and record that as its first
     // best snapshot. Raw anneal costs at hot temperatures are
@@ -989,20 +1106,19 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
     // on its own, and each one gets a short burn-in (below) before
     // the bound may judge it.
     if (rounds > 0 && seeds > 1) {
-        Candidate p;
         candidateFromPos(p, cands[0].pos);
         // A structured greedy start converges in a few passes; on
         // large graphs the probe settles for a near-fixpoint since
         // each extra pass costs a full scan.
         descend(p, /*maxPasses=*/graph.size() > 40 ? 3 : 8);
         double basin = fullCost(p);
+        tally(stats, p);
         if (basin < cands[0].bestCost) {
             cands[0].bestCost = basin;
-            cands[0].bestPos = std::move(p.pos);
+            cands[0].bestPos = p.pos;
         }
     }
-
-    auto probeT1 = std::chrono::steady_clock::now();
+    stats.probeMs += msSince(lap);
     double bound = incumbentCost;
     int holder = -1;
     for (int k = 0; k < seeds; k++) {
@@ -1022,6 +1138,7 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
     // small graphs afford a second look.
     const int scoutBurnInRounds = graph.size() > 40 ? 1 : 2;
 
+    std::vector<int> liveOrder;
     for (int r = 0; r < rounds; r++) {
         auto chunkTask = [&, r](int k) {
             Candidate &c = cands[static_cast<size_t>(k)];
@@ -1102,7 +1219,7 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
         int done = r + 1; // rounds every live member has completed
         if (5 * done <= rounds)
             continue;
-        std::vector<int> liveOrder;
+        liveOrder.clear();
         for (int k = 0; k < seeds; k++) {
             if (!cands[static_cast<size_t>(k)].abandoned)
                 liveOrder.push_back(k);
@@ -1128,27 +1245,9 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
             earlyExited++;
         else if (c.abandoned)
             halved++;
+        tally(stats, c);
     }
-    if (std::getenv("PS_MAPPER_DEBUG")) {
-        for (int k = 0; k < seeds; k++) {
-            const Candidate &c = cands[static_cast<size_t>(k)];
-            std::fprintf(stderr,
-                         "seed %d: best %.1f iters %d abandoned %d "
-                         "bound %d frozen %d\n",
-                         k, c.bestCost, c.itersDone,
-                         c.abandoned ? 1 : 0, c.boundExited ? 1 : 0,
-                         c.frozen ? 1 : 0);
-        }
-        auto ms = [](auto a, auto b) {
-            return std::chrono::duration<double, std::milli>(b - a)
-                .count();
-        };
-        std::fprintf(stderr,
-                     "holder %d bound %.1f rounds %d probe %.3f ms "
-                     "anneal %.3f ms\n",
-                     holder, bound, rounds, ms(probeT0, probeT1),
-                     ms(probeT1, std::chrono::steady_clock::now()));
-    }
+    stats.annealMs += msSince(lap);
     winnerSeed = holder;
     winnerPos = holder < 0
                     ? std::move(incumbentPos)
@@ -1195,8 +1294,8 @@ MapperRun::descend(Candidate &c, int maxPasses) const
     // shifts can re-open a skipped node without waking it, so a
     // clean partial pass is confirmed by one full rescan before the
     // fixpoint is trusted.
-    std::vector<uint8_t> look(
-        static_cast<size_t>(graph.size()), 1u);
+    std::vector<uint8_t> &look = c.look;
+    look.assign(static_cast<size_t>(graph.size()), 1u);
     auto wake = [&](NodeId moved) {
         NodeId r = repOf[static_cast<size_t>(moved)];
         look[static_cast<size_t>(r)] = 1;
@@ -1275,11 +1374,11 @@ MapperRun::descend(Candidate &c, int maxPasses) const
 }
 
 void
-MapperRun::polish(std::vector<int> &pos) const
+MapperRun::polish(std::vector<int> &pos, Candidate &c,
+                  MapStats &stats) const
 {
     if (perSeedIters <= 0 || classesInUse.empty())
         return;
-    Candidate c;
     candidateFromPos(c, pos);
     // The polish descends unarmed: armed pricing re-traces trees
     // for every scanned candidate move, which costs more than the
@@ -1290,10 +1389,10 @@ MapperRun::polish(std::vector<int> &pos) const
     // congestion-repair loop's job.
     descend(c);
     double best = fullCost(c);
-    // Snapshot/restore whole candidates: a vector copy is far
+    // Snapshot/restore the placement state: a vector copy is far
     // cheaper than rebuilding caches (and re-tracing routes) from a
     // bare position array on every unproductive kick.
-    Candidate bestC = c;
+    Placement bestC = c;
 
     // Iterated local search: kick a few nodes off the fixpoint,
     // descend again, and keep the best basin found. Each cycle is a
@@ -1356,13 +1455,14 @@ MapperRun::polish(std::vector<int> &pos) const
             kickCost = fullCost(c);
         if (kickCost < best) {
             best = kickCost;
-            bestC = c;
+            bestC = c; // the Placement part only
             sinceImprove = 0;
         } else {
             sinceImprove++;
-            c = bestC;
+            static_cast<Placement &>(c) = bestC;
         }
     }
+    tally(stats, c);
     pos = std::move(bestC.pos);
 }
 
@@ -1452,9 +1552,9 @@ MapperRun::perturbCulprits(
 
 bool
 MapperRun::repairCongestion(std::vector<int> &pos,
-                            std::vector<NodeId> &implicated) const
+                            std::vector<NodeId> &implicated,
+                            Candidate &c, MapStats &stats) const
 {
-    Candidate c;
     candidateFromPos(c, pos);
     enableCongestion(c, /*force=*/true);
     if (c.overflow == 0) {
@@ -1497,6 +1597,7 @@ MapperRun::repairCongestion(std::vector<int> &pos,
         if (bestOverflow == 0)
             break;
     }
+    tally(stats, c);
     if (bestOverflow == 0) {
         pos = std::move(bestPos);
         implicated.clear();
@@ -1587,41 +1688,36 @@ MapperRun::finishMapping(Mapping &m,
 }
 
 Mapping
-MapperRun::run()
+MapperRun::run(MapStats &stats)
 {
+    Clock::time_point lap = Clock::now();
     buildStructure();
 
     Mapping m;
-    if (!checkFeasible(m))
+    if (!checkFeasible(m)) {
+        stats.initMs += msSince(lap);
         return m;
+    }
 
     std::vector<int> winnerPos;
     int winnerSeed = -1;
     int earlyExited = 0;
     int halved = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    portfolio(winnerPos, winnerSeed, earlyExited, halved);
+    // One scratch candidate, reused by the probe, polish and repair.
+    Candidate work;
+    portfolio(winnerPos, winnerSeed, earlyExited, halved, work,
+              stats, lap);
     m.winningSeed = winnerSeed;
     m.seedsEarlyExited = earlyExited;
     m.seedsHalved = halved;
-    auto t1 = std::chrono::steady_clock::now();
-    polish(winnerPos);
-    auto t2 = std::chrono::steady_clock::now();
+    polish(winnerPos, work, stats);
+    stats.polishMs += msSince(lap);
 
     std::vector<NodeId> implicated;
-    bool routable = repairCongestion(winnerPos, implicated);
-    if (std::getenv("PS_MAPPER_DEBUG")) {
-        auto ms = [](auto a, auto b) {
-            return std::chrono::duration<double, std::milli>(b - a)
-                .count();
-        };
-        std::fprintf(stderr,
-                     "portfolio %.3f ms polish %.3f ms repair "
-                     "%.3f ms\n",
-                     ms(t0, t1), ms(t1, t2),
-                     ms(t2, std::chrono::steady_clock::now()));
-    }
+    bool routable =
+        repairCongestion(winnerPos, implicated, work, stats);
     finishMapping(m, winnerPos);
+    stats.repairMs += msSince(lap);
     if (!routable) {
         m.failedNodes = std::move(implicated);
         m.error = csprintf(
@@ -1649,10 +1745,14 @@ Mapping::positionOf(dfg::NodeId id) const
 
 Mapping
 mapGraph(const Graph &graph, const Fabric &fabric,
-         const MapperOptions &options)
+         const MapperOptions &options, MapStats *stats)
 {
+    MapStats local;
     MapperRun run(graph, fabric, options);
-    return run.run();
+    Mapping m = run.run(local);
+    if (stats)
+        *stats = local;
+    return m;
 }
 
 } // namespace pipestitch::mapper

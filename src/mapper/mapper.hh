@@ -129,9 +129,44 @@ struct Mapping
     int positionOf(dfg::NodeId id) const;
 };
 
+/**
+ * Where one mapGraph() call spent its time, phase by phase. An
+ * optional out-parameter, never stored in Mapping: the memo keys and
+ * the memo disk format do not see it.
+ */
+struct MapStats
+{
+    /** Wall-clock per phase, ms. `init` builds the move structure
+     *  and the portfolio members' starting placements; `probe` is
+     *  the greedy member's basin descent; `anneal` the lockstep
+     *  portfolio chunks; `polish` the winner's descent and kicks;
+     *  `repair` the congestion check (and repair, when a route
+     *  overflows) plus the final route. */
+    double initMs = 0;
+    double probeMs = 0;
+    double annealMs = 0;
+    double polishMs = 0;
+    double repairMs = 0;
+
+    /** Anneal steps run (portfolio members and repair restarts). */
+    int64_t annealSteps = 0;
+
+    /** Moves priced: anneal steps that reached pricing, descent
+     *  scans and polish kicks. */
+    int64_t movesPriced = 0;
+
+    double totalMs() const
+    {
+        return initMs + probeMs + annealMs + polishMs + repairMs;
+    }
+};
+
+/** Place and route @p graph on @p fabric. When @p stats is non-null
+ *  it receives the call's per-phase times and move counts. */
 Mapping mapGraph(const dfg::Graph &graph,
                  const fabric::Fabric &fabric,
-                 const MapperOptions &options = MapperOptions{});
+                 const MapperOptions &options = MapperOptions{},
+                 MapStats *stats = nullptr);
 
 } // namespace pipestitch::mapper
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +19,9 @@
 #include "core/system.hh"
 #include "fabric/area.hh"
 #include "fabric/fabric.hh"
+#include "base/random.hh"
 #include "mapper/mapper.hh"
+#include "mapper/metropolis.hh"
 #include "mapper/tiled.hh"
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
@@ -584,4 +587,34 @@ TEST(Mapper, GoldenPlacements)
         GTEST_SKIP() << "goldens regenerated, rerun to verify";
     }
     EXPECT_EQ(checked, golden.size()) << "stale golden entries";
+}
+
+TEST(Mapper, MetropolisBoundsMatchExp)
+{
+    // The bracketed acceptance test must decide exactly like the
+    // plain `u < exp(-delta / temp)` it replaces: random draws over
+    // the whole priced range, plus draws one ulp either side of the
+    // exp value where the bounds must hand over to std::exp.
+    Rng rng(0x5eed);
+    int64_t mismatches = 0;
+    for (int i = 0; i < 200000; i++) {
+        double temp = 0.01 + 4.0 * rng.nextDouble();
+        double delta = rng.nextBool(0.5)
+                           ? static_cast<double>(
+                                 1 + rng.nextBounded(40))
+                           : 30.0 * temp * rng.nextDouble();
+        if (delta >= 30.0 * temp)
+            continue;
+        double e = std::exp(-delta / temp);
+        for (double u : {rng.nextDouble(), e,
+                         std::nextafter(e, 0.0),
+                         std::nextafter(e, 1.0), e * (1 - 1e-9),
+                         e * (1 + 1e-9)}) {
+            if (u >= 1.0)
+                continue;
+            mismatches +=
+                mapper::metropolisAccepts(u, delta, temp) != (u < e);
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
