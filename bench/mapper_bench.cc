@@ -10,11 +10,14 @@
  * the same measurements for the pre-portfolio mapper (one
  * 20000-iteration anneal, commit d1b9f34).
  *
- * Methodology: the host is a contended single-core container, so
- * each timing is the best of `reps` runs inside one process — the
- * statistic least distorted by ambient load — and the baseline was
- * captured interleaved with the candidate on the same host. The
- * speedup line compares best-of-N against best-of-N.
+ * Methodology: each timing is `reps` runs inside one process,
+ * reported as the best (the statistic least distorted by other load
+ * on a shared host) and the median (the spread). The record carries
+ * the CPUs this process may use (`host_threads`; the portfolio's
+ * `jobs` is clamped to it) and the build type, since both move the
+ * numbers. The seed baseline was captured interleaved with the
+ * candidate on one host; the speedup line compares best against
+ * best.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,6 +31,8 @@
 
 #include "compiler/compile.hh"
 #include "mapper/mapper.hh"
+#include "runner/pool.hh"
+#include "sim/report.hh"
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
@@ -105,9 +110,15 @@ writeMapperReport()
         std::fprintf(stderr, "cannot write BENCH_mapper.json\n");
         return;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"mapper_portfolio\",\n"
-                    "  \"seeds\": 4,\n  \"jobs\": 4,\n"
-                    "  \"kernels\": [\n");
+    std::fprintf(f,
+                 "{\n  \"schema_version\": %d,\n"
+                 "  \"benchmark\": \"mapper_portfolio\",\n"
+                 "  \"host_threads\": %d,\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"seeds\": 4,\n  \"jobs\": 4,\n"
+                 "  \"kernels\": [\n",
+                 sim::kJsonSchemaVersion, runner::defaultJobs(),
+                 PS_BUILD_TYPE);
 
     // Placement cost of every shipped kernel (the CI parity gate
     // reads the same numbers from pstool map).
@@ -129,15 +140,17 @@ writeMapperReport()
         std::fprintf(f,
                      "    {\"kernel\": \"%s\", \"operators\": %d, "
                      "\"success\": %s, \"cost\": %lld, "
-                     "\"best_ms\": %.3f}%s\n",
+                     "\"reps\": %d, \"best_ms\": %.3f, "
+                     "\"median_ms\": %.3f},\n",
                      name, r.operators,
                      r.success ? "true" : "false",
-                     static_cast<long long>(r.cost), r.bestMs,
-                     "," /* timing object follows */);
+                     static_cast<long long>(r.cost), reps, r.bestMs,
+                     r.medianMs);
         std::printf("mapper %-16s ops=%3d cost=%4lld "
-                    "best=%6.3f ms\n",
+                    "best=%6.3f ms median=%6.3f ms\n",
                     name, r.operators,
-                    static_cast<long long>(r.cost), r.bestMs);
+                    static_cast<long long>(r.cost), r.bestMs,
+                    r.medianMs);
     }
 
     // Wall-clock headline: largest mappable kernel. Many more reps
@@ -145,15 +158,16 @@ writeMapperReport()
     // in multi-second bursts, and a longer best-of-N window is the
     // cheapest way to sample between them.
     auto g = largestMappableGraph();
-    MapResult big = timeMap(g, 25);
+    const int bigReps = 25;
+    MapResult big = timeMap(g, bigReps);
     std::fprintf(f,
                  "    {\"kernel\": \"spmspmd_u1\", "
                  "\"operators\": %d, \"success\": %s, "
-                 "\"cost\": %lld, \"best_ms\": %.3f, "
+                 "\"cost\": %lld, \"reps\": %d, \"best_ms\": %.3f, "
                  "\"median_ms\": %.3f}\n  ],\n",
                  big.operators, big.success ? "true" : "false",
-                 static_cast<long long>(big.cost), big.bestMs,
-                 big.medianMs);
+                 static_cast<long long>(big.cost), bigReps,
+                 big.bestMs, big.medianMs);
 
     // Baseline (bench/mapper_seed_baseline.json): the seed mapper's
     // best-of-5 on this kernel, measured interleaved on this host.

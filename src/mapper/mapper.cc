@@ -800,16 +800,17 @@ MapperRun::recomputeOverflow(const Candidate &c,
 {
     load.assign(numLinks, 0);
     scratch.ensure(numLinks);
+    // Every claim past a link's capacity adds one wire of overflow.
+    int64_t overflow = 0;
     for (const Tree &t : trees) {
         routecost::traceTree(
             graph, t.src, t.port, width,
             [&](NodeId id) { return coordFor(c, id); }, scratch,
-            [&](size_t l, const Consumer &) { load[l]++; },
+            [&](size_t l, const Consumer &) {
+                overflow += load[l]++ >= linkCap;
+            },
             [](const Consumer &, int) {});
     }
-    int64_t overflow = 0;
-    for (int l : load)
-        overflow += std::max(0, l - linkCap);
     return overflow;
 }
 

@@ -1203,6 +1203,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
     int partitionAttempts = 0;
     auto t0 = std::chrono::steady_clock::now();
     mapper::Mapping mapping;
+    mapper::MapStats stats; // single-grid maps only
     if (tiled) {
         mapper::TiledMapping tm =
             mapper::mapGraphTiled(res.graph, opts.topo, mopts);
@@ -1211,7 +1212,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
         interTileLoadMax = tm.interTileLoadMax;
         partitionAttempts = tm.attempts;
     } else {
-        mapping = mapper::mapGraph(res.graph, fab, mopts);
+        mapping = mapper::mapGraph(res.graph, fab, mopts, &stats);
     }
     double mapMs = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
@@ -1249,6 +1250,15 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             .add("early_exits", mapping.seedsEarlyExited)
             .add("seeds_halved", mapping.seedsHalved)
             .add("map_ms", mapMs);
+        if (!tiled) {
+            r.add("init_ms", stats.initMs)
+                .add("probe_ms", stats.probeMs)
+                .add("anneal_ms", stats.annealMs)
+                .add("polish_ms", stats.polishMs)
+                .add("repair_ms", stats.repairMs)
+                .add("anneal_steps", stats.annealSteps)
+                .add("moves_priced", stats.movesPriced);
+        }
         if (tiled) {
             r.add("tiles_x", opts.topo.tilesX)
                 .add("tiles_y", opts.topo.tilesY)
@@ -1282,6 +1292,16 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             mapping.winningSeed, mapping.seedsEarlyExited,
             mapping.seedsHalved, mapMs,
             lintClean ? "clean" : "DIRTY");
+        if (!tiled) {
+            std::printf(
+                "  phases (ms): init %.3f, probe %.3f, anneal %.3f, "
+                "polish %.3f, repair %.3f; %lld anneal steps, %lld "
+                "moves priced\n",
+                stats.initMs, stats.probeMs, stats.annealMs,
+                stats.polishMs, stats.repairMs,
+                static_cast<long long>(stats.annealSteps),
+                static_cast<long long>(stats.movesPriced));
+        }
         if (tiled) {
             std::printf(
                 "  tiles %dx%d: %lld cut edge(s), boundary load "
