@@ -17,7 +17,9 @@
  * `jobs` is clamped to it) and the build type, since both move the
  * numbers. The seed baseline was captured interleaved with the
  * candidate on one host; the speedup line compares best against
- * best.
+ * best. Timings use jobs=4: on the small gate kernels that is
+ * mostly the per-call thread-pool start-up, so their serial speed is
+ * better read from `pstool map` (jobs=1, with per-phase times).
  */
 
 #include <benchmark/benchmark.h>

@@ -874,6 +874,8 @@ MapperRun::verifyIncremental(const Candidate &c) const
  * arithmetic throughout, so the result is exactly the per-edge
  * difference of old and new lengths.
  */
+// Forced inline: it is the innermost call of the anneal step and of
+// the descent's target scan.
 [[gnu::always_inline]] inline double
 MapperRun::priceMove(Candidate &c, NodeId a, NodeId b, int fromPos,
                      int toPos, int64_t &wlDelta,

@@ -154,11 +154,6 @@ struct MapStats
     /** Moves priced: anneal steps that reached pricing, descent
      *  scans and polish kicks. */
     int64_t movesPriced = 0;
-
-    double totalMs() const
-    {
-        return initMs + probeMs + annealMs + polishMs + repairMs;
-    }
 };
 
 /** Place and route @p graph on @p fabric. When @p stats is non-null
