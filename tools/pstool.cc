@@ -1258,8 +1258,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
                 .add("repair_ms", stats.repairMs)
                 .add("anneal_steps", stats.annealSteps)
                 .add("moves_priced", stats.movesPriced);
-        }
-        if (tiled) {
+        } else {
             r.add("tiles_x", opts.topo.tilesX)
                 .add("tiles_y", opts.topo.tilesY)
                 .add("cut_edges", cutEdges)
@@ -1301,8 +1300,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
                 stats.polishMs, stats.repairMs,
                 static_cast<long long>(stats.annealSteps),
                 static_cast<long long>(stats.movesPriced));
-        }
-        if (tiled) {
+        } else {
             std::printf(
                 "  tiles %dx%d: %lld cut edge(s), boundary load "
                 "%d/%d, %d partition attempt(s)\n",
