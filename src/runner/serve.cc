@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -75,6 +76,39 @@ statusPayload(const char *status, const std::string &error)
     return r.toJson();
 }
 
+// Request field ranges (docs/serve.md): each bound is the largest
+// legitimate use with a wide margin — buffer depths of 4–16 (Fig. 20),
+// unrolling up to 32 (bench-sim-par's spmspmd_u32), 2x2 tiles and 8
+// batch shards (bench-tiles) — so that a hostile value is refused
+// before it reaches an assertion or an allocation sized by it.
+constexpr int64_t kMaxDepth = 256;
+constexpr int64_t kMaxUnroll = 64;
+constexpr int64_t kMaxTilesPerAxis = 8;
+constexpr int64_t kMaxBatch = 256;
+
+/** Read integer field @p name into @p out when present; false with
+ *  @p error set when it lies outside [@p lo, @p hi]. */
+bool
+readBounded(const trace::JsonValue &v, const char *name, int64_t lo,
+            int64_t hi, int &out, std::string &error)
+{
+    const auto *f = v.find(name);
+    if (!f)
+        return true;
+    // Compare as a double: casting an out-of-range number to an
+    // integer first would be undefined.
+    const double x = f->asDouble(std::nan(""));
+    if (!(x >= static_cast<double>(lo) &&
+          x <= static_cast<double>(hi))) {
+        error = csprintf("\"%s\" must be in [%lld, %lld]", name,
+                         static_cast<long long>(lo),
+                         static_cast<long long>(hi));
+        return false;
+    }
+    out = static_cast<int>(x);
+    return true;
+}
+
 /**
  * Parse one request line into @p out. @return false with @p error
  * set on any problem; @p out.id is still filled when the JSON was
@@ -110,10 +144,16 @@ parseRequest(const std::string &line, const RunConfig &base,
             return false;
         }
     }
-    if (const auto *d = v.find("depth"))
-        cfg.sim.bufferDepth = static_cast<int>(d->asInt(4));
-    if (const auto *u = v.find("unroll"))
-        cfg.unrollFactor = static_cast<int>(u->asInt(1));
+    if (!readBounded(v, "depth", 1, kMaxDepth, cfg.sim.bufferDepth,
+                     error) ||
+        !readBounded(v, "unroll", 1, kMaxUnroll, cfg.unrollFactor,
+                     error)) {
+        return false;
+    }
+    if ((cfg.unrollFactor & (cfg.unrollFactor - 1)) != 0) {
+        error = "\"unroll\" must be a power of two";
+        return false;
+    }
     if (const auto *t = v.find("tm"))
         cfg.allowTimeMultiplex = t->asBool();
     if (const auto *m = v.find("map"))
@@ -129,15 +169,13 @@ parseRequest(const std::string &line, const RunConfig &base,
         const std::string name = s->asString();
         if (name == "dense") {
             cfg.sim.scheduler = sim::SimConfig::Scheduler::DenseScan;
-        } else if (name == "ready") {
-            cfg.sim.scheduler = sim::SimConfig::Scheduler::ReadyList;
         } else if (name == "parallel") {
             cfg.sim.scheduler =
                 sim::SimConfig::Scheduler::ParallelRegions;
             explicitParallel = true;
         } else {
             error = "unknown scheduler '" + name +
-                    "' (expected dense, ready, or parallel)";
+                    "' (expected dense or parallel)";
             return false;
         }
     }
@@ -146,11 +184,11 @@ parseRequest(const std::string &line, const RunConfig &base,
     // *stats*, not an event stream). A request that names the
     // parallel scheduler and a trace gets a structured error rather
     // than a silent fallback; one that names no scheduler takes the
-    // default, whose observed runs use the ReadyList oracle.
+    // default, whose observed runs use the DenseScan oracle.
     if (explicitParallel && !out.traceFile.empty()) {
         error = "\"trace_file\" cannot be combined with "
                 "\"scheduler\": \"parallel\" — tracing needs an "
-                "observed run; use the ready scheduler";
+                "observed run; use the dense scheduler";
         return false;
     }
     if (const auto *t = v.find("tiles")) {
@@ -159,20 +197,18 @@ parseRequest(const std::string &line, const RunConfig &base,
         char junk;
         if (std::sscanf(t->asString().c_str(), "%dx%d%c", &tx, &ty,
                         &junk) != 2 ||
-            tx < 1 || ty < 1) {
-            error = "\"tiles\" must be \"TXxTY\" (e.g. \"2x2\")";
+            tx < 1 || ty < 1 || tx > kMaxTilesPerAxis ||
+            ty > kMaxTilesPerAxis) {
+            error = csprintf("\"tiles\" must be \"TXxTY\" (e.g. "
+                             "\"2x2\") with 1 <= TX, TY <= %lld",
+                             static_cast<long long>(kMaxTilesPerAxis));
             return false;
         }
         cfg.tilesX = tx;
         cfg.tilesY = ty;
     }
-    if (const auto *b = v.find("batch")) {
-        out.batch = static_cast<int>(b->asInt(1));
-        if (out.batch < 1) {
-            error = "\"batch\" must be >= 1";
-            return false;
-        }
-    }
+    if (!readBounded(v, "batch", 1, kMaxBatch, out.batch, error))
+        return false;
 
     // The SIR parser and memory binding below were written for batch
     // tools and fatal() on user error; trap that into a response.

@@ -11,7 +11,7 @@
  * yields a certified cycle lower bound: `simulated cycles` can never
  * be smaller than `certifiedCycles` for the same run, for any
  * scheduler (the ParallelRegions engine is bit-identical to the
- * ReadyList oracle, so one evaluation covers both).
+ * DenseScan oracle, so one evaluation covers both).
  *
  * Soundness is per-term (each term states a resource or dependence
  * limit the timing model provably respects); the report's certified

@@ -8,18 +8,23 @@
  *  - an ExecutionState holds a shared_ptr to its Program and never
  *    writes through it;
  *  - everything mutable lives here: token FIFOs, gate FSMs, the
- *    scheduler's live sets and caches, the memory system (bound to
- *    the caller's MemImage for the duration of run()), stats, and
- *    the per-run observer/trace settings;
+ *    memory system (bound to the caller's MemImage for the duration
+ *    of run()), stats, the per-run observer/trace settings, and the
+ *    cached ParallelRegions engine;
  *  - run() may be called repeatedly on one ExecutionState (state is
  *    reset each time), but a single ExecutionState must not be used
  *    from two threads at once. Concurrency = one ExecutionState per
  *    thread, all sharing one Program.
  *
- * The legacy simulate() entry point is now a thin wrapper that builds
- * a Program and runs one ExecutionState, so both paths are
- * cycle-exact by construction (tests/test_golden_stats.cc and
- * tests/test_execution.cc enforce this).
+ * The AoS state below is the DenseScan oracle: every cycle it
+ * re-evaluates every node in every fixpoint round, with no worklists
+ * or caches, so it is the naive reference the ParallelRegions engine
+ * is checked against (tests/test_golden_stats.cc) and the engine for
+ * observed and stderr-traced runs, whose per-fire hooks live here.
+ *
+ * The legacy simulate() entry point is a thin wrapper that builds a
+ * Program and runs one ExecutionState, so both paths are cycle-exact
+ * by construction (tests/test_execution.cc enforces this).
  */
 
 #ifndef PIPESTITCH_SIM_EXECUTION_HH
@@ -62,10 +67,9 @@ class ExecutionState
      * ExecutionState can be reused sequentially.
      *
      * Scheduler::ParallelRegions runs delegate to a cached
-     * sim::ParallelEngine (bit-identical to the ReadyList oracle);
-     * configurations the engine does not model — source buffering,
-     * share groups — and runs with an observer or stderr trace
-     * attached fall back to the oracle, as DenseScan did for PR 2.
+     * sim::ParallelEngine (bit-identical to the DenseScan oracle);
+     * runs with an observer or stderr trace attached take the
+     * DenseScan loop, which has the per-fire hooks.
      */
     SimResult run(MemImage &mem, const RunOptions &opts = {});
 
@@ -109,18 +113,14 @@ class ExecutionState
     void decideDispatchGroups();
     Blocked canFire(dfg::NodeId id);
     void commitFire(dfg::NodeId id);
-    void evalNocNodes(bool pruneLive);
+    void evalNocNodes();
     void stallCensus();
     bool quiescentSlow() const;
     std::string diagnose() const;
     SimResult runLoop();
 
-    // --- ready-list bookkeeping -------------------------------------
-    void wake(dfg::NodeId id);
-    void wakeConsumers(dfg::NodeId id, int port);
-    void markDrainable(dfg::NodeId id);
-
     // --- token plumbing ---------------------------------------------
+    void markDrainable(dfg::NodeId id);
     bool inputAvail(dfg::NodeId id, int in) const;
     Token peekInput(dfg::NodeId id, int in) const;
     Token consumeInput(dfg::NodeId id, int in);
@@ -139,7 +139,6 @@ class ExecutionState
     SimConfig cfg; ///< per-run copy: prog.cfg + RunOptions overrides
     trace::SimObserver *obs = nullptr;
     bool sourceMode;
-    bool readyMode;
     std::optional<MemSystem> memsys; ///< engaged only inside run()
 
     std::vector<NodeRt> rt;
@@ -149,59 +148,6 @@ class ExecutionState
 
     std::vector<bool> shareUsed;        ///< per group, this cycle
     std::vector<dfg::NodeId> shareLast; ///< per group, last resident
-
-    // Ready-list scheduler state. `liveSeq`/`liveNoc` are the
-    // persistent maybe-ready sets (superset of anything that can
-    // fire or count as stalled); `wokenAt` stamps the last wake so
-    // the stall census can retain freshly-woken nodes whose tokens
-    // are still aging (born-stamp rule).
-    std::vector<dfg::NodeId> liveSeq, liveNoc;
-    std::vector<uint8_t> inLive;
-    std::vector<int64_t> wokenAt;
-
-    // Dormant stall accounting: a PE that stalled on a missing
-    // operand or on backpressure, and that no event has touched
-    // since, is frozen — its census verdict cannot change until a
-    // wake arrives (inputs only change via deliveries/retires, space
-    // only via pops, and its tokens are fully aged because a node
-    // woken this cycle is retained as active). Such nodes leave the
-    // live set entirely and are billed per cycle through two O(1)
-    // aggregates. Bank-blocked and share-blocked nodes stay active:
-    // their verdicts depend on what *other* nodes do each cycle.
-    enum : uint8_t { DormNone = 0, DormInput = 1, DormSpace = 2 };
-    std::vector<uint8_t> dormantClass;
-    int64_t dormantInput = 0, dormantSpace = 0;
-
-    // Verdict cache: the census reuses the last fixpoint-round
-    // evaluation of a node when no wake arrived after it. Sound for
-    // the same reason dormancy is: a non-fired node's verdict can
-    // only change through a wake event, and within one cycle bank
-    // claims / input levels move monotonically toward the census
-    // state (canFire checks Input before Space before Bank).
-    std::vector<Blocked> lastVerdict;
-    std::vector<int64_t> verdictSerial, wakeSerial;
-    int64_t cycleStartSerial = 0;
-
-    // Incremental SyncPlane: a dispatch group whose gates saw no
-    // event (delivery, fire, drain) keeps its cached choice and
-    // pending flag. `groupDirtyUntil` extends one cycle past the
-    // last event so freshly delivered tokens age past the born
-    // stamp before the group freezes.
-    std::vector<int64_t> groupDirtyUntil; ///< per loop id
-    std::vector<uint8_t> groupPending;    ///< cached anyPending
-
-    // PE fixpoint rounds: candidates for the current round and the
-    // wakeups collected (during commits) for the next one.
-    std::vector<dfg::NodeId> curRound, nextRound;
-    std::vector<int64_t> inRoundAt, inNextAt;
-    int64_t roundSerial = 0;
-    bool inPeFixpoint = false;
-
-    // NoC combinational sweeps within one evalNocNodes call.
-    std::vector<dfg::NodeId> nocSweep, nocNextSweep;
-    std::vector<int64_t> inNocNextAt;
-    int64_t nocSweepSerial = 0;
-    bool inNocEval = false;
 
     // Nodes with possibly non-empty output buffers (dest mode).
     std::vector<dfg::NodeId> drainList;

@@ -105,22 +105,10 @@ struct ParallelEngine::Crew
     std::vector<std::thread> threads;
 };
 
-bool
-parallelSupported(const Program &prog)
-{
-    // Source buffering multicasts through producer-output cursors
-    // (a different token-plumbing model) and time-multiplexed PEs
-    // serialize arbitrarily across the fabric; both stay on the
-    // ReadyList oracle.
-    return !prog.sourceMode && prog.cfg.shareGroups.empty();
-}
-
 ParallelEngine::ParallelEngine(std::shared_ptr<const Program> program,
                                int jobs, int threads)
     : progHold(std::move(program)), prog(*progHold)
 {
-    ps_assert(parallelSupported(prog),
-              "ParallelEngine over an unsupported Program");
     // The default (threads = 0) is one inline region: no size
     // measured so far runs faster threaded (docs/simulator.md,
     // "Thread policy"). Explicit thread counts run `jobs` regions —
@@ -172,6 +160,7 @@ ParallelEngine::buildTables()
     memBypass = prog.cfg.memBypass;
     greedyDispatch = prog.cfg.greedyDispatch;
     checkThreadOrder = prog.cfg.checkThreadOrder;
+    sourceMode = prog.sourceMode;
 
     kindA.resize(static_cast<size_t>(n));
     opcA.resize(static_cast<size_t>(n));
@@ -184,6 +173,8 @@ ParallelEngine::buildTables()
     isMemA.resize(static_cast<size_t>(n));
     nocA.resize(static_cast<size_t>(n));
     hasOutBufA.resize(static_cast<size_t>(n));
+    outCapA.resize(static_cast<size_t>(n));
+    outStride = 0;
     insBase.assign(static_cast<size_t>(n) + 1, 0);
     outsBase.assign(static_cast<size_t>(n) + 1, 0);
     for (NodeId id = 0; id < n; id++) {
@@ -203,13 +194,15 @@ ParallelEngine::buildTables()
         nocA[i] = prog.nocNode[i];
         const Program::NodePlan &p = prog.plan[i];
         // Destination buffering gives every node input FIFOs of the
-        // uniform configured depth; only CF/memory PEs carry output
-        // FIFOs (same depth). The SoA slabs assume that layout.
-        ps_assert(node.numInputs() == 0 || p.insDepth == depth,
+        // uniform configured depth (the input slabs assume it); only
+        // CF/memory PEs carry output FIFOs. Source buffering has
+        // output rings only, shallower on router CF.
+        ps_assert(sourceMode || node.numInputs() == 0 ||
+                      p.insDepth == depth,
                   "non-uniform input depth on node %d", id);
-        ps_assert(p.outsDepth == 0 || p.outsDepth == depth,
-                  "non-uniform output depth on node %d", id);
         hasOutBufA[i] = p.outsDepth > 0 ? 1 : 0;
+        outCapA[i] = p.outsDepth;
+        outStride = std::max(outStride, p.outsDepth);
         insBase[i + 1] = insBase[i] + node.numInputs();
         outsBase[i + 1] =
             outsBase[i] + (p.outsDepth > 0 ? node.numOutputs() : 0);
@@ -233,6 +226,32 @@ ParallelEngine::buildTables()
             } else if (refs[in].wired()) {
                 portMode[pi] = PortWired;
                 portProd[pi] = refs[in].prod;
+            }
+        }
+    }
+
+    if (sourceMode) {
+        // Every node buffers every output port, so ring indices and
+        // CSR port indices coincide.
+        ps_assert(outsBase == prog.portBase,
+                  "source rings drifted from the CSR port layout");
+        srcPortA.assign(static_cast<size_t>(P), -1);
+        ipShedA.assign(static_cast<size_t>(P), 0);
+        for (NodeId id = 0; id < n; id++) {
+            const auto &refs = prog.inputRefs[static_cast<size_t>(id)];
+            for (size_t in = 0; in < refs.size(); in++) {
+                if (!refs[in].wired())
+                    continue;
+                const size_t pi = static_cast<size_t>(
+                    insBase[static_cast<size_t>(id)] +
+                    static_cast<int>(in));
+                srcPortA[pi] =
+                    prog.portBase[static_cast<size_t>(refs[in].prod)] +
+                    refs[in].prodPort;
+                ipShedA[pi] =
+                    prog.threadRegionOf[static_cast<size_t>(
+                        refs[in].prod)] !=
+                    prog.threadRegionOf[static_cast<size_t>(id)];
             }
         }
     }
@@ -333,22 +352,26 @@ ParallelEngine::buildTables()
     drainBits.assign((static_cast<size_t>(n) + 63) / 64, 0);
 
     // Per-run slabs sized once here, zeroed by resetRun().
-    const size_t PD = static_cast<size_t>(P) *
-                      static_cast<size_t>(depth);
+    const size_t PD = sourceMode ? 0
+                                 : static_cast<size_t>(P) *
+                                       static_cast<size_t>(depth);
     insVal.resize(PD);
     insTag.resize(PD);
     insBorn.resize(PD);
     insHeadA.resize(static_cast<size_t>(P));
     insCount.resize(static_cast<size_t>(P));
     insAvailFrom.resize(static_cast<size_t>(P));
-    const size_t OD =
-        static_cast<size_t>(outsBase[static_cast<size_t>(n)]) *
-        static_cast<size_t>(depth);
+    const size_t O = static_cast<size_t>(outsBase[static_cast<size_t>(n)]);
+    const size_t OD = O * static_cast<size_t>(outStride);
     outVal.resize(OD);
     outTag.resize(OD);
-    outHeadA.resize(static_cast<size_t>(outsBase[
-        static_cast<size_t>(n)]));
-    outCount.resize(outHeadA.size());
+    outHeadA.resize(O);
+    outCount.resize(O);
+    if (sourceMode) {
+        outBorn.resize(OD);
+        outRetired.resize(O);
+        cursorA.resize(static_cast<size_t>(P));
+    }
     insTokens.resize(static_cast<size_t>(n));
     reservedOutA.resize(static_cast<size_t>(n));
     fsmA.resize(static_cast<size_t>(n));
@@ -361,7 +384,7 @@ ParallelEngine::buildTables()
     groupChoiceA.resize(static_cast<size_t>(numLoops));
     groupDirtyUntilA.resize(static_cast<size_t>(numLoops));
     groupPendingA.resize(static_cast<size_t>(numLoops));
-    groupFiredRound.resize(static_cast<size_t>(numLoops));
+    groupTouched.resize(static_cast<size_t>(numLoops));
     predB.resize(static_cast<size_t>(n));
     gateLoops.clear();
     for (int l = 0; l < numLoops; l++) {
@@ -385,6 +408,18 @@ ParallelEngine::buildTables()
     pendTag.resize(64);
     pendReady.resize(64);
     fireList.reserve(static_cast<size_t>(n));
+
+    const auto &groups = prog.cfg.shareGroups;
+    shareOfA = prog.shareGroupOf;
+    shareMembers.clear();
+    for (NodeId id = 0; id < n; id++) {
+        // Router CF fires in the NoC settle, outside any residency.
+        if (shareOfA[static_cast<size_t>(id)] >= 0 &&
+            !nocA[static_cast<size_t>(id)])
+            shareMembers.push_back(id);
+    }
+    shareUsedA.resize(groups.size());
+    shareLastA.resize(groups.size());
 }
 
 void
@@ -414,7 +449,10 @@ ParallelEngine::resetRun()
     // Dirty through cycle 1 so the initial trigger wave is seen.
     std::fill(groupDirtyUntilA.begin(), groupDirtyUntilA.end(), 1);
     std::fill(groupPendingA.begin(), groupPendingA.end(), 0);
-    std::fill(groupFiredRound.begin(), groupFiredRound.end(), 0);
+    std::fill(groupTouched.begin(), groupTouched.end(), 0);
+    std::fill(shareLastA.begin(), shareLastA.end(), dfg::NoNode);
+    std::fill(outRetired.begin(), outRetired.end(), 0);
+    std::fill(cursorA.begin(), cursorA.end(), 0);
     std::fill(predB.begin(), predB.end(), 0);
     std::fill(lastVerdictA.begin(), lastVerdictA.end(), VIdle);
     std::fill(freshB.begin(), freshB.end(), 0);
@@ -511,6 +549,8 @@ ParallelEngine::peekIn(NodeId id, int in) const
     int ip = insBase[static_cast<size_t>(id)] + in;
     if (portMode[static_cast<size_t>(ip)] == PortImm)
         return Tok{portImmVal[static_cast<size_t>(ip)], NoTag};
+    if (sourceMode)
+        return ringPeek(ip);
     size_t slot = static_cast<size_t>(ip) *
                       static_cast<size_t>(depth) +
                   static_cast<size_t>(
@@ -548,6 +588,8 @@ ParallelEngine::consumeIn(NodeId id, int in)
     const size_t pi = static_cast<size_t>(ip);
     if (portMode[pi] == PortImm)
         return Tok{portImmVal[pi], NoTag};
+    if (sourceMode)
+        return ringTake(ip);
     int h = insHeadA[pi];
     size_t slot =
         pi * static_cast<size_t>(depth) + static_cast<size_t>(h);
@@ -574,6 +616,113 @@ ParallelEngine::consumeIn(NodeId id, int in)
     wakeSpace(portProd[pi]);
     portReadsFlat[pi]++;
     activeFlag = true;
+    return t;
+}
+
+inline ParallelEngine::Tok
+ParallelEngine::ringPeek(int ip) const
+{
+    const size_t pi = static_cast<size_t>(ip);
+    const size_t op = static_cast<size_t>(srcPortA[pi]);
+    const int cap = outCapA[static_cast<size_t>(portProd[pi])];
+    int pos = outHeadA[op] +
+              static_cast<int>(cursorA[pi] - outRetired[op]);
+    if (pos >= cap)
+        pos -= cap;
+    size_t slot = op * static_cast<size_t>(outStride) +
+                  static_cast<size_t>(pos);
+    // Tokens crossing out of a threaded region shed their tag.
+    return Tok{outVal[slot], ipShedA[pi] ? NoTag : outTag[slot]};
+}
+
+inline void
+ParallelEngine::refreshEndpoint(int ip)
+{
+    const size_t pi = static_cast<size_t>(ip);
+    const size_t op = static_cast<size_t>(srcPortA[pi]);
+    const int64_t offset = cursorA[pi] - outRetired[op];
+    if (portNocOwner[pi]) {
+        insAvailFrom[pi] = offset < outCount[op] ? 0 : kAvailNever;
+    } else if (offset == 0 && outCount[op] > 0) {
+        insAvailFrom[pi] =
+            outBorn[op * static_cast<size_t>(outStride) +
+                    static_cast<size_t>(outHeadA[op])] +
+            1;
+    } else {
+        insAvailFrom[pi] = kAvailNever;
+    }
+}
+
+void
+ParallelEngine::ringPush(NodeId id, int port, Word value, int32_t tag)
+{
+    const int op = outsBase[static_cast<size_t>(id)] + port;
+    const size_t oi = static_cast<size_t>(op);
+    const int cap = outCapA[static_cast<size_t>(id)];
+    ps_assert(outCount[oi] < cap, "emit into full output buffer");
+    int pos = outHeadA[oi] + outCount[oi];
+    if (pos >= cap)
+        pos -= cap;
+    size_t slot = oi * static_cast<size_t>(outStride) +
+                  static_cast<size_t>(pos);
+    outVal[slot] = value;
+    outTag[slot] = tag;
+    outBorn[slot] = bornStamp;
+    const bool newHead = outCount[oi]++ == 0;
+    tokensInFlight++;
+    stats.bufferWrites++;
+    activeFlag = true;
+    // A push behind the head changes nothing a registered PE sees;
+    // router CF snoops the window and always re-evaluates.
+    for (int e = prog.consBase[oi]; e < prog.consBase[oi + 1]; e++) {
+        NodeId c = edgeNode[static_cast<size_t>(e)];
+        if (newHead || nocA[static_cast<size_t>(c)]) {
+            refreshEndpoint(edgeIp[static_cast<size_t>(e)]);
+            wakeDeliver(c);
+        }
+    }
+}
+
+ParallelEngine::Tok
+ParallelEngine::ringTake(int ip)
+{
+    const size_t pi = static_cast<size_t>(ip);
+    Tok t = ringPeek(ip);
+    cursorA[pi]++;
+    const size_t op = static_cast<size_t>(srcPortA[pi]);
+    const int e0 = prog.consBase[op], e1 = prog.consBase[op + 1];
+    int64_t minTaken = cursorA[pi];
+    for (int e = e0; e < e1; e++) {
+        minTaken = std::min(
+            minTaken,
+            cursorA[static_cast<size_t>(edgeIp[static_cast<size_t>(e)])]);
+    }
+    stats.nocTraversals++;
+    stats.bufferReads++;
+    portReadsFlat[pi]++;
+    activeFlag = true;
+    // One take raises the slowest cursor by at most one entry.
+    if (minTaken == outRetired[op]) {
+        refreshEndpoint(ip);
+        return t;
+    }
+    const NodeId prod = portProd[pi];
+    int h = outHeadA[op] + 1;
+    outHeadA[op] = h >= outCapA[static_cast<size_t>(prod)] ? 0 : h;
+    outCount[op]--;
+    outRetired[op]++;
+    tokensInFlight--;
+    // The producer regained ring space, and the retired head exposes
+    // the next entry to every endpoint. Either can change a SyncPlane
+    // decision mid-cycle, so gate groups among them re-decide.
+    touchGroup(prod);
+    wakeSpace(prod);
+    for (int e = e0; e < e1; e++) {
+        NodeId c = edgeNode[static_cast<size_t>(e)];
+        refreshEndpoint(edgeIp[static_cast<size_t>(e)]);
+        touchGroup(c);
+        wake(c);
+    }
     return t;
 }
 
@@ -611,8 +760,8 @@ ParallelEngine::outSpace(NodeId id, int port, int need) const
         int op = outsBase[static_cast<size_t>(id)] + port;
         int reserved =
             port == 0 ? reservedOutA[static_cast<size_t>(id)] : 0;
-        return depth - outCount[static_cast<size_t>(op)] -
-                   reserved >=
+        return outCapA[static_cast<size_t>(id)] -
+                   outCount[static_cast<size_t>(op)] - reserved >=
                need;
     }
     // No output buffer: multicast delivery requires space at every
@@ -680,6 +829,10 @@ ParallelEngine::emit(NodeId id, int port, Word value, int32_t tag)
     if (prog.consBase[static_cast<size_t>(p) + 1] ==
         prog.consBase[static_cast<size_t>(p)])
         return;
+    if (sourceMode) {
+        ringPush(id, port, value, tag);
+        return;
+    }
     if (nocA[static_cast<size_t>(id)] ||
         !hasOutBufA[static_cast<size_t>(id)]) {
         deliver(id, port, value, tag);
@@ -698,7 +851,7 @@ ParallelEngine::emit(NodeId id, int port, Word value, int32_t tag)
     int pos = outHeadA[oi] + outCount[oi];
     if (pos >= depth)
         pos -= depth;
-    size_t slot = oi * static_cast<size_t>(depth) +
+    size_t slot = oi * static_cast<size_t>(outStride) +
                   static_cast<size_t>(pos);
     outVal[slot] = value;
     outTag[slot] = tag;
@@ -733,16 +886,33 @@ ParallelEngine::combine3(NodeId id, int32_t a, int32_t b, int32_t c)
     return combine2(id, combine2(id, a, b), c);
 }
 
+inline void
+ParallelEngine::touchGroup(NodeId id)
+{
+    int gl = prog.gateLoop[static_cast<size_t>(id)];
+    if (gl >= 0)
+        groupTouched[static_cast<size_t>(gl)] = 1;
+}
+
+void
+ParallelEngine::wakeNoc(size_t i)
+{
+    wokenB[i] = 1;
+    int t = prog.topoIndex[i];
+    setBit(liveNocBits, t);
+    // A router op later in topological order than the one firing is
+    // still ahead in the oracle's sweep; an earlier one waits for the
+    // next sweep.
+    if (inNocEval)
+        setBit(t > nocCursor ? nocSweepBits : nocNextBits, t);
+}
+
 void
 ParallelEngine::wake(NodeId id)
 {
     const size_t i = static_cast<size_t>(id);
     if (nocA[i]) {
-        wokenB[i] = 1;
-        int t = prog.topoIndex[i];
-        setBit(liveNocBits, t);
-        if (inNocEval)
-            setBit(nocNextBits, t);
+        wakeNoc(i);
         return;
     }
     wokenB[i] = 1;
@@ -771,11 +941,7 @@ ParallelEngine::wakeDeliver(NodeId id)
     const size_t i = static_cast<size_t>(id);
     if (nocA[i]) {
         // NoC latches consume same-cycle: full wake semantics.
-        wokenB[i] = 1;
-        int t = prog.topoIndex[i];
-        setBit(liveNocBits, t);
-        if (inNocEval)
-            setBit(nocNextBits, t);
+        wakeNoc(i);
         return;
     }
     // The landed token changes the next-cycle verdict even though
@@ -952,7 +1118,7 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
             prog.consBase[static_cast<size_t>(p)];
         if (hasOutBufA[i] && dataConsumed) {
             int op = outsBase[i] + pidx::LoadDataOut;
-            if (depth - outCount[static_cast<size_t>(op)] -
+            if (outCapA[i] - outCount[static_cast<size_t>(op)] -
                     reservedOutA[i] <
                 1)
                 return VSpace;
@@ -1157,7 +1323,7 @@ ParallelEngine::commitFire(NodeId id)
         // the group must be re-evaluated until the dust settles.
         groupDirtyUntilA[static_cast<size_t>(loopIdA[i])] =
             cycle + 1;
-        groupFiredRound[static_cast<size_t>(loopIdA[i])] = 1;
+        groupTouched[static_cast<size_t>(loopIdA[i])] = 1;
         uint8_t choice =
             groupChoiceA[static_cast<size_t>(loopIdA[i])];
         if (greedyDispatch) {
@@ -1316,7 +1482,7 @@ ParallelEngine::drainPhase()
                 if (outCount[oi] > 0 &&
                     consumersAccept(id, port)) {
                     size_t slot =
-                        oi * static_cast<size_t>(depth) +
+                        oi * static_cast<size_t>(outStride) +
                         static_cast<size_t>(outHeadA[oi]);
                     Word v = outVal[slot];
                     int32_t t = outTag[slot];
@@ -1362,6 +1528,11 @@ ParallelEngine::memCompletionsPhase()
         }
         reservedOutA[i]--;
         wake(id); // reservation slot freed
+        activeFlag = true;
+        if (sourceMode) {
+            ringPush(id, pidx::LoadDataOut, v, t);
+            continue;
+        }
         const size_t oi =
             static_cast<size_t>(outsBase[i] + pidx::LoadDataOut);
         if (memBypass && outCount[oi] == 0 &&
@@ -1373,7 +1544,7 @@ ParallelEngine::memCompletionsPhase()
             int pos = outHeadA[oi] + outCount[oi];
             if (pos >= depth)
                 pos -= depth;
-            size_t os = oi * static_cast<size_t>(depth) +
+            size_t os = oi * static_cast<size_t>(outStride) +
                         static_cast<size_t>(pos);
             outVal[os] = v;
             outTag[os] = t;
@@ -1382,7 +1553,6 @@ ParallelEngine::memCompletionsPhase()
             stats.bufferWrites++;
             setBit(drainBits, id);
         }
-        activeFlag = true;
     }
 }
 
@@ -1447,14 +1617,16 @@ ParallelEngine::decideDispatchGroups(bool firstRound)
                 anyEval = true;
             continue;
         }
-        uint8_t firedPrev = groupFiredRound[li];
-        groupFiredRound[li] = 0;
-        if (!firstRound && !firedPrev) {
+        uint8_t touched = groupTouched[li];
+        groupTouched[li] = 0;
+        if (!firstRound && !touched) {
             // Within a cycle the group's inputs only change when
-            // its own gates fire (deliveries don't age into avail
-            // until next cycle, and gate output buffers drain only
-            // in the serial phase): the stored choice and pending
-            // flag are exactly what a re-evaluation would produce.
+            // its own gates fire or a source ring they read or fill
+            // retires an entry (deliveries don't age into avail
+            // until next cycle, and destination output buffers
+            // drain only in the serial phase): the stored choice
+            // and pending flag are exactly what a re-evaluation
+            // would produce.
             if (groupPendingA[li])
                 anyEval = true;
             continue;
@@ -1476,9 +1648,8 @@ ParallelEngine::decideDispatchGroups(bool firstRound)
             anyPending |= cAvail | sAvail;
             contAll &= cAvail;
             spawnAll &= sAvail;
-            int free =
-                depth -
-                outCount[static_cast<size_t>(outsBase[di])];
+            int free = outCapA[di] -
+                       outCount[static_cast<size_t>(outsBase[di])];
             if (free < 1)
                 contNotFull = false;
             if (free < 2)
@@ -1507,6 +1678,7 @@ ParallelEngine::scanRegion(int r, bool firstRound)
     R.candMem.clear();
     R.candAddr.clear();
     const auto &seq = regSeq[static_cast<size_t>(r)];
+    const bool hasShare = !shareMembers.empty();
     // Round 1 walks the live set in place (it must survive for the
     // census) unioned with any force-dispatched gates parked in
     // roundBits; later rounds consume the woken-set bitmap.
@@ -1523,7 +1695,8 @@ ParallelEngine::scanRegion(int r, bool firstRound)
             bits &= bits - 1;
             NodeId id = seq[w * 64 + static_cast<size_t>(b)];
             const size_t i = static_cast<size_t>(id);
-            if (firedB[i])
+            // Share-group members select in the coordinated pass.
+            if (firedB[i] || (hasShare && shareOfA[i] >= 0))
                 continue;
             if (predB[i]) {
                 // The census precomputed this cycle's verdict (no
@@ -1648,8 +1821,10 @@ ParallelEngine::runFixpoint()
         }
         // A later round scans only the nodes woken by the previous
         // round's commits (plus forced gates); with none, it would
-        // find nothing to fire — end without dispatching it.
-        if (!firstRound) {
+        // find nothing to fire — end without dispatching it. Share
+        // members are arbitrated (and billed) in every round, so
+        // with share groups every round runs.
+        if (!firstRound && shareMembers.empty()) {
             bool any = false;
             for (int r = 0; r < K && !any; r++) {
                 for (uint64_t word :
@@ -1666,9 +1841,10 @@ ParallelEngine::runFixpoint()
         ctr.fixpointRounds++;
         runPhase(Phase::Scan, firstRound);
 
-        // Coordinated bank arbitration, ascending node id across
-        // regions — the order the oracle's single scan would claim
-        // in (non-memory verdicts are independent of claims).
+        // Coordinated bank arbitration and share-group residency,
+        // ascending node id across regions — the order the oracle's
+        // single scan would claim in (other verdicts are independent
+        // of claims and residency).
         // regSeq is ascending within every region, so each
         // candidate list arrives sorted: K-way merges replace the
         // per-round sorts.
@@ -1697,6 +1873,7 @@ ParallelEngine::runFixpoint()
         }
         const size_t peFires = fireList.size();
         mergeIdx.assign(static_cast<size_t>(K), 0);
+        size_t nextShared = 0;
         for (;;) {
             int best = -1;
             NodeId bid = 0;
@@ -1708,6 +1885,13 @@ ParallelEngine::runFixpoint()
                     best = r;
                     bid = cm[k];
                 }
+            }
+            if (nextShared < shareMembers.size() &&
+                (best < 0 || shareMembers[nextShared] < bid)) {
+                NodeId sid = shareMembers[nextShared++];
+                if (selectShared(sid))
+                    fireList.push_back(sid);
+                continue;
             }
             if (best < 0)
                 break;
@@ -1731,8 +1915,8 @@ ParallelEngine::runFixpoint()
         }
         if (fireList.empty())
             break;
-        // Two sorted runs (PE winners, then mem winners): merge in
-        // place of the old full sort.
+        // Two sorted runs (PE winners, then coordinated winners):
+        // merge in place of the old full sort.
         if (peFires > 0 && peFires < fireList.size()) {
             mergeTmp.resize(fireList.size());
             std::merge(fireList.begin(),
@@ -1769,6 +1953,52 @@ ParallelEngine::runFixpoint()
     // No cleanup needed: the breaking round's scan consumed
     // roundBits to zero, and with no commits in that round nothing
     // wrote nextBits (wakes only touch it while inPeFixpoint).
+}
+
+bool
+ParallelEngine::selectShared(NodeId id)
+{
+    const size_t i = static_cast<size_t>(id);
+    if (firedB[i])
+        return false;
+    const size_t sg = static_cast<size_t>(shareOfA[i]);
+    if (shareUsedA[sg]) {
+        stats.shareConflicts++;
+        return false;
+    }
+    // Fairness: the current resident yields when a housemate is also
+    // ready to fire this cycle.
+    if (shareLastA[sg] == id) {
+        for (int other : prog.cfg.shareGroups[sg]) {
+            const size_t oi = static_cast<size_t>(other);
+            if (other == id || (!nocA[oi] && firedB[oi]))
+                continue;
+            if (canFireFull(other) == VNo) {
+                stats.shareConflicts++;
+                return false;
+            }
+        }
+    }
+    bool memReady = false;
+    Word addr = 0;
+    uint8_t why = scanCanFire(id, memReady, addr, cycle);
+    const size_t bank = static_cast<uint32_t>(addr) %
+                        static_cast<uint32_t>(memBanks);
+    if (memReady && bankClaimedAt[bank] == cycle)
+        why = VBank;
+    lastVerdictA[i] = why;
+    freshB[i] = 1;
+    if (why != VNo)
+        return false;
+    if (memReady)
+        bankClaimedAt[bank] = cycle;
+    firedB[i] = 1;
+    shareUsedA[sg] = 1;
+    if (shareLastA[sg] != id) {
+        stats.muxSwitches++;
+        shareLastA[sg] = id;
+    }
+    return true;
 }
 
 __attribute__((flatten)) void
@@ -1897,25 +2127,21 @@ ParallelEngine::nocSettle(bool pruneLive)
     // CF ops in routers are combinational: they observe tokens that
     // became visible this cycle and forward them within the cycle,
     // in topological order, at most one token set per router per
-    // cycle (nocFiredAt). Ascending topo-index bit order is exactly
-    // the oracle's topoLess sweep order.
+    // cycle (nocFiredB). Ascending topo-index bit order is the
+    // oracle's sweep order over prog.nocTopo; only live or woken
+    // router ops are visited (a verdict changes only with a wake).
     inNocEval = true;
     std::copy(liveNocBits.begin(), liveNocBits.end(),
               nocSweepBits.begin());
     for (;;) {
-        bool anyBits = false;
         for (int w = 0; w < nocWords; w++) {
-            uint64_t bits = nocSweepBits[static_cast<size_t>(w)];
-            if (!bits)
-                continue;
-            anyBits = true;
-            nocSweepBits[static_cast<size_t>(w)] = 0;
-            while (bits) {
+            // Re-read the word after every fire: a wake may add a
+            // router op further along this sweep.
+            while (uint64_t bits = nocSweepBits[static_cast<size_t>(w)]) {
                 int b = __builtin_ctzll(bits);
-                bits &= bits - 1;
-                NodeId id =
-                    prog.nocTopo[static_cast<size_t>(w) * 64 +
-                                 static_cast<size_t>(b)];
+                nocSweepBits[static_cast<size_t>(w)] = bits & (bits - 1);
+                nocCursor = w * 64 + b;
+                NodeId id = prog.nocTopo[static_cast<size_t>(nocCursor)];
                 if (nocFiredB[static_cast<size_t>(id)])
                     continue;
                 if (canFireFull(id) == VNo) {
@@ -1924,12 +2150,16 @@ ParallelEngine::nocSettle(bool pruneLive)
                 }
             }
         }
-        if (!anyBits)
+        // Wakes behind the cursor collected the next sweep's
+        // candidates (this sweep's bits are all consumed).
+        bool more = false;
+        for (uint64_t word : nocNextBits)
+            more |= word != 0;
+        if (!more)
             break;
-        // Wakes during the sweep collected the next sweep's
-        // candidates.
         nocSweepBits.swap(nocNextBits);
     }
+    nocCursor = -1;
     inNocEval = false;
 
     if (pruneLive) {
@@ -2003,7 +2233,9 @@ ParallelEngine::diagnose() const
         const Node &node = g.at(id);
         out << "  node " << id << " (" << nodeKindName(node.kind)
             << " " << node.name << ") ins=[";
-        for (int ip = insBase[i]; ip < insBase[i + 1]; ip++)
+        // Source buffering has no input FIFOs to list.
+        for (int ip = insBase[i]; ip < insBase[i + 1] && !sourceMode;
+             ip++)
             out << insCount[static_cast<size_t>(ip)] << " ";
         out << "] outs=[";
         for (int op = outsBase[i]; op < outsBase[i + 1]; op++)
@@ -2066,6 +2298,7 @@ ParallelEngine::run(MemImage &memImage, int64_t maxCyclesOverride)
         std::memset(wokenB.data(), 0, wokenB.size());
         std::memset(firedB.data(), 0, firedB.size());
         std::memset(nocFiredB.data(), 0, nocFiredB.size());
+        std::fill(shareUsedA.begin(), shareUsedA.end(), 0);
 
         drainPhase();
         memCompletionsPhase();

@@ -3,15 +3,16 @@
  * sim::ParallelEngine — the Scheduler::ParallelRegions backend.
  *
  * A region-partitioned, structure-of-arrays re-implementation of the
- * destination-buffered cycle loop, and the default engine for
- * destination-buffered runs. The Program's fabric is split into K
- * spatial regions (sim/regions.hh); each cycle the select/census
- * phases — the bulk of the work — run independently per region,
- * while token movement (commit, drain, memory, channels, NoC
- * settle) stays on the coordinating thread so every cross-region
- * write is serialized. Bank arbitration and commits are replayed in
- * ascending node-id order across regions, which makes the engine
- * bit-identical to the ReadyList oracle at every region and thread
+ * cycle loop, and the engine every unobserved run takes: destination
+ * and source buffering, SyncPlane and greedy dispatch, share groups
+ * and tiled channels. The Program's fabric is split into K spatial
+ * regions (sim/regions.hh); each cycle the select/census phases —
+ * the bulk of the work — run independently per region, while token
+ * movement (commit, drain, memory, channels, NoC settle) stays on the
+ * coordinating thread so every cross-region write is serialized.
+ * Bank arbitration, share-group residency and commits are replayed
+ * in ascending node-id order across regions, which makes the engine
+ * bit-identical to the DenseScan oracle at every region and thread
  * count (tests/test_sim_par.cc sweeps both).
  *
  * Thread policy: by default (threads = 0) the engine runs one
@@ -25,21 +26,26 @@
  * waiting for every worker's done slot to reach the new epoch. No
  * job, future or allocation is created per phase.
  *
- * Why this is safe without per-candidate locking: under destination
- * buffering the select phase is read-only — canFire() peeks FIFO
- * heads and never moves a token — so concurrent per-region scans
- * observe exactly the state the oracle's ascending scan would, and
- * the only order-sensitive select effect (memory-bank claims) is
+ * Why this is safe without per-candidate locking: the select phase
+ * is read-only — canFire() peeks FIFO heads (or, under source
+ * buffering, the producer ring at the endpoint's cursor) and never
+ * moves a token — so concurrent per-region scans observe exactly
+ * the state the oracle's ascending scan would. The order-sensitive
+ * select effects (memory-bank claims, share-group residency) are
  * deferred to a coordinated pass over the merged candidates.
  *
  * Data layout: all per-run hot state lives in flat arrays indexed by
  * the Program's CSR port layout — one slab each for token values,
  * tags and born stamps (depth-strided per port), per-port head/count
  * cursors, and a per-port "available from cycle" stamp that folds
- * emptiness, immediates and the born-stamp rule into a single
- * compare. Worklists are per-region bitmaps over region-local dense
- * indices, so scans iterate in ascending id order without the
- * oracle's per-round sorts and regions never write a shared word.
+ * emptiness, immediates, the multicast cursor and the born-stamp
+ * rule into a single compare. Destination buffering keeps tokens in
+ * consumer input FIFOs; source buffering keeps them in producer
+ * output rings that every consumer endpoint reads through its own
+ * cursor (TokenFifo's multicast rules). Worklists are per-region
+ * bitmaps over region-local dense indices, so scans iterate in
+ * ascending id order without per-round sorts and regions never write
+ * a shared word.
  *
  * Synchronization windows: for channel-cut partitions the
  * coordinator computes the conservative lookahead bound
@@ -50,9 +56,9 @@
  * reporting; multi-cycle decoupled windows are the documented
  * follow-on (docs/simulator.md).
  *
- * Unsupported configurations (source buffering, share groups,
- * observers, stderr trace) never reach this engine —
- * ExecutionState::run() falls back to the ReadyList oracle for them.
+ * Observed runs (an attached SimObserver or the stderr trace) never
+ * reach this engine: ExecutionState::run() takes the DenseScan
+ * oracle for them, which has the per-fire hooks.
  */
 
 #ifndef PIPESTITCH_SIM_PARALLEL_HH
@@ -67,11 +73,6 @@
 #include "sim/regions.hh"
 
 namespace pipestitch::sim {
-
-/** True when @p prog 's configuration can run on the engine (the
- *  caller must additionally pin the oracle for observer/trace
- *  runs). */
-bool parallelSupported(const Program &prog);
 
 /** What one ParallelEngine chose, and what its last run did. */
 struct EngineCounters
@@ -105,8 +106,8 @@ class ParallelEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    /** One simulation; mirrors ExecutionState::run() for supported
-     *  configs. @p maxCyclesOverride 0 = the Program's maxCycles. */
+    /** One unobserved simulation, bit-identical to the DenseScan
+     *  oracle. @p maxCyclesOverride 0 = the Program's maxCycles. */
     SimResult run(MemImage &mem, int64_t maxCyclesOverride);
 
     const RegionPlan &regionPlan() const { return plan; }
@@ -150,6 +151,18 @@ class ParallelEngine
     };
     inline Tok peekIn(dfg::NodeId id, int in) const;
     Tok consumeIn(dfg::NodeId id, int in);
+    /** @{ Source buffering: producer output rings read by every
+     *  consumer endpoint through its own cursor. */
+    inline Tok ringPeek(int ip) const;
+    /** Recompute endpoint @p ip 's avail stamp: registered PEs see
+     *  only the multicast head, router CF snoops the buffered
+     *  window (TokenFifo::availHeadFor / availFor). */
+    inline void refreshEndpoint(int ip);
+    void ringPush(dfg::NodeId id, int port, Word value, int32_t tag);
+    /** Advance @p ip 's cursor; an entry retires once every
+     *  endpoint has taken it (TokenFifo::takeFor). */
+    Tok ringTake(int ip);
+    /** @} */
     int32_t combine2(dfg::NodeId id, int32_t a, int32_t b);
     int32_t combine3(dfg::NodeId id, int32_t a, int32_t b, int32_t c);
 
@@ -179,6 +192,11 @@ class ParallelEngine
      * full wake path.
      */
     void wakeDeliver(dfg::NodeId id);
+    /** Mark @p id 's dispatch group (if it is a gate) for
+     *  re-decision in the next round. */
+    inline void touchGroup(dfg::NodeId id);
+    /** Wake router op @p i (its latches consume same-cycle). */
+    void wakeNoc(size_t i);
     /**
      * Space wake for a producer whose consumer just freed a FIFO
      * slot. canFire ranks Input before Space, so a producer whose
@@ -188,6 +206,11 @@ class ParallelEngine
      * would spend only to re-derive the identical verdict.
      */
     void wakeSpace(dfg::NodeId id);
+    /** Coordinated select of share-group member @p id : one resident
+     *  per group per cycle, the current resident yields to a ready
+     *  housemate, and conflicts are billed every round. Claims the
+     *  bank of a memory member. True when @p id fires. */
+    bool selectShared(dfg::NodeId id);
     void flushPortReads();
 
     // --- cycle phases -----------------------------------------------
@@ -225,6 +248,7 @@ class ParallelEngine
     bool memBypass = true;
     bool greedyDispatch = false;
     bool checkThreadOrder = true;
+    bool sourceMode = false;
 
     std::vector<uint8_t> kindA;     ///< dfg::NodeKind
     std::vector<sir::Opcode> opcA;  ///< Arith opcode
@@ -237,6 +261,8 @@ class ParallelEngine
     std::vector<uint8_t> isMemA;
     std::vector<uint8_t> nocA;
     std::vector<uint8_t> hasOutBufA;
+    std::vector<int32_t> outCapA;   ///< [n] output FIFO/ring depth
+    int outStride = 0;              ///< out slab stride (max depth)
     std::vector<int32_t> insBase;   ///< [n+1] flat input-port index
     std::vector<int32_t> outsBase;  ///< [n+1] flat buffered-out index
     enum : uint8_t { PortUnwired = 0, PortWired, PortImm };
@@ -244,6 +270,11 @@ class ParallelEngine
     std::vector<Word> portImmVal;   ///< [P]
     std::vector<int32_t> portProd;  ///< [P] producer node (wired)
     std::vector<uint8_t> portNocOwner; ///< [P] owner is router CF
+    // Source buffering: the producer ring (a CSR port index, which
+    // equals its outsBase index there) each input port reads, and
+    // whether its tokens shed their thread tag crossing regions.
+    std::vector<int32_t> srcPortA;  ///< [P]
+    std::vector<uint8_t> ipShedA;   ///< [P]
 
     // Consumer-edge CSR: edges of (node, port) are
     // edge*[prog.consBase[prog.portBase[node]+port] ..).
@@ -277,6 +308,9 @@ class ParallelEngine
     std::vector<Word> outVal;
     std::vector<int32_t> outTag;
     std::vector<int32_t> outHeadA, outCount;
+    std::vector<int64_t> outBorn;     ///< source rings only
+    std::vector<int64_t> outRetired;  ///< source: entries retired
+    std::vector<int64_t> cursorA;     ///< source: [P] entries taken
     std::vector<int32_t> insTokens;   ///< [n] tokens across ins
     std::vector<int32_t> reservedOutA;
     std::vector<uint8_t> fsmA;        ///< NodeRt::Fsm numbering
@@ -295,10 +329,11 @@ class ParallelEngine
     // invalidates the prediction. Not cleared per cycle — it must
     // survive from census into the next cycle's scan.
     std::vector<uint8_t> predB;
-    // Per-loop "a gate fired in the round just committed" flag:
+    // Per-loop "a gate fired, or a source ring it reads or fills
+    // retired an entry, since the group was last decided" flag:
     // consumed by decideDispatchGroups to skip re-evaluating groups
     // whose inputs cannot have changed since the previous round.
-    std::vector<uint8_t> groupFiredRound;
+    std::vector<uint8_t> groupTouched;
     std::vector<int32_t> gateLoops; ///< loops with dispatch gates
 
     std::vector<uint8_t> lastVerdictA;
@@ -310,6 +345,7 @@ class ParallelEngine
     std::vector<uint8_t> dormantClassA;
     bool inPeFixpoint = false;
     bool inNocEval = false;
+    int nocCursor = -1; ///< topo index the NoC sweep is evaluating
 
     struct alignas(64) Region
     {
@@ -336,6 +372,13 @@ class ParallelEngine
     std::vector<int32_t> pendTag;
     std::vector<int64_t> pendReady;
     int32_t pendHead = 0, pendCnt = 0;
+
+    // Share groups (time multiplexing): node -> group (-1 = own PE),
+    // the PE members in ascending id, and per-group residency.
+    std::vector<int32_t> shareOfA;
+    std::vector<int32_t> shareMembers;
+    std::vector<uint8_t> shareUsedA;  ///< per group, this cycle
+    std::vector<int32_t> shareLastA;  ///< per group, last resident
 
     std::vector<int32_t> fireList;
     // K-way merge cursors / two-run merge scratch for the per-round

@@ -40,10 +40,6 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     cfg.trace = false;
 
     sourceMode = cfg.buffering == SimConfig::Buffering::Source;
-    // ParallelRegions keeps the full ready-list tables so its
-    // fallback paths (observer/trace/source-mode/share-group runs)
-    // execute as the ReadyList oracle.
-    readyMode = cfg.scheduler != SimConfig::Scheduler::DenseScan;
 
     for (const auto &node : g.nodes) {
         if (node.kind == NodeKind::Dispatch) {
@@ -149,7 +145,7 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
         }
     }
 
-    // Flatten consumer adjacency into CSR arrays for the wake paths.
+    // Consumer adjacency as CSR offsets.
     portBase.assign(static_cast<size_t>(n) + 1, 0);
     for (NodeId id = 0; id < n; id++) {
         portBase[static_cast<size_t>(id) + 1] =
@@ -166,22 +162,9 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     }
     for (size_t i = 1; i < consBase.size(); i++)
         consBase[i] += consBase[i - 1];
-    consFlat.resize(static_cast<size_t>(consBase.back()));
-    {
-        size_t at = 0;
-        for (NodeId id = 0; id < n; id++) {
-            for (int port = 0; port < g.at(id).numOutputs();
-                 port++) {
-                for (const auto &c : g.consumersOf({id, port}))
-                    consFlat[at++] = c.node;
-            }
-        }
-    }
 
     for (NodeId id = 0; id < n; id++) {
-        if (nocNode[static_cast<size_t>(id)])
-            allNocNodes.push_back(id);
-        else
+        if (!nocNode[static_cast<size_t>(id)])
             allSeqNodes.push_back(id);
         if (g.at(id).kind == NodeKind::Trigger)
             triggersTotal++;

@@ -4,8 +4,8 @@
  *
  * A Program captures everything about a finalized dataflow graph and
  * a microarchitecture configuration that does not change between
- * runs: resolved input wiring, the CSR consumer adjacency used by
- * the wake paths, the NoC topological order, dispatch-group and
+ * runs: resolved input wiring, the CSR port/consumer layout, the NoC
+ * topological order, dispatch-group and
  * share-group membership, thread-region scoping, and the per-node
  * token-buffer layout. Building it is the per-simulation setup the
  * old `simulate()` redid on every call.
@@ -17,7 +17,7 @@
  *  - any number of `ExecutionState`s (execution.hh) may share one
  *    Program concurrently from different threads with no locking;
  *  - all mutable run state (token buffers, gate FSMs, memory image,
- *    stats, scheduler worklists, observer) lives in ExecutionState.
+ *    stats, observer, the cached engine) lives in ExecutionState.
  *
  * This mirrors the plan/execute split of image-pipeline graph
  * executors: plan once (sizes, cursors, layouts), execute many times
@@ -83,7 +83,6 @@ class Program
     // ----------------------------------------------------------------
     SimConfig cfg;    ///< observer/trace stripped
     bool sourceMode;  ///< buffering == Source
-    bool readyMode;   ///< scheduler != DenseScan (ready-list tables)
 
     std::vector<std::vector<InputRef>> inputRefs; // [node][in]
     std::vector<NodePlan> plan;                   // [node]
@@ -99,15 +98,14 @@ class Program
     // Time-multiplexing: node -> share group (-1 = exclusive PE).
     std::vector<int> shareGroupOf;
 
-    // Consumer adjacency flattened into CSR arrays: the wake fan-out
-    // of output port p of node n is
-    //   consFlat[consBase[portBase[n]+p] .. consBase[portBase[n]+p+1])
+    // Consumer adjacency as CSR offsets: the consumer edges of output
+    // port p of node n are positions
+    //   consBase[portBase[n]+p] .. consBase[portBase[n]+p+1]
+    // in graph().consumersOf({n, p}) order.
     std::vector<int> portBase;
     std::vector<int> consBase;
-    std::vector<dfg::NodeId> consFlat;
 
     std::vector<dfg::NodeId> allSeqNodes; ///< PE nodes, ascending id
-    std::vector<dfg::NodeId> allNocNodes; ///< router CF nodes
 
     int triggersTotal = 0;
 

@@ -17,7 +17,7 @@
  *
  * The partition never affects simulation results — the engine's
  * coordinated commit keeps every job count bit-identical to the
- * ReadyList oracle — it only balances per-region work and, for
+ * DenseScan oracle — it only balances per-region work and, for
  * channel-cut partitions, bounds the lookahead window (see
  * sim/parallel.hh).
  */

@@ -54,31 +54,26 @@ struct SimConfig
 
     enum class Scheduler {
         /**
-         * Re-evaluate every node in every fixpoint round — the
-         * original O(nodes × rounds) reference scheduler. Kept for
-         * golden-stats verification and as the bench baseline.
+         * Re-evaluate every node in every fixpoint round — the naive
+         * O(nodes × rounds) reference oracle, kept for verification
+         * and as the bench baseline, and the engine observed runs
+         * take.
          */
         DenseScan,
         /**
-         * Event-driven ready list: only nodes woken by token
-         * delivery, buffer-space frees, memory completions, or
-         * dispatch-group decisions are re-evaluated. Cycle-exact
-         * with DenseScan (enforced by tests/test_golden_stats.cc).
-         */
-        ReadyList,
-        /**
          * Region-partitioned engine over structure-of-arrays token
          * state (sim/parallel.hh), and the default: bit-identical to
-         * ReadyList in every SimStats field (enforced by
-         * tests/test_sim_par.cc) and faster on every paper kernel.
-         * The fabric is split into spatial regions (mapper-style BFS
-         * min-cut, or tile/channel boundaries for tiled programs)
-         * whose select/census phases run per region, inline or on
-         * persistent worker threads; commit/drain/memory/NoC phases
-         * stay coordinated, so results never depend on the region or
-         * thread count. Runs that attach an observer or trace, use
-         * source buffering, or time-multiplex PEs run the ReadyList
-         * oracle instead, whose stats are identical.
+         * DenseScan in every SimStats field (enforced by
+         * tests/test_golden_stats.cc and tests/test_sim_par.cc)
+         * under both buffering models, both dispatch modes, share
+         * groups and tiles. The fabric is split into spatial regions
+         * (mapper-style BFS min-cut, or tile/channel boundaries for
+         * tiled programs) whose select/census phases run per region,
+         * inline or on persistent worker threads; commit/drain/
+         * memory/NoC phases stay coordinated, so results never
+         * depend on the region or thread count. Runs that attach an
+         * observer or stderr trace take DenseScan instead, whose
+         * stats are identical.
          */
         ParallelRegions,
     };
@@ -141,10 +136,9 @@ struct SimConfig
     /**
      * Observability hooks (see trace/observer.hh); not owned, must
      * outlive the simulation. Null (the default) costs nothing on
-     * the hot paths beyond a pointer test. While an observer is
-     * attached the ready-list scheduler falls back to the reference
-     * stall census so that both schedulers report identical event
-     * streams.
+     * the hot paths beyond a pointer test. Observed runs execute on
+     * the DenseScan oracle (the engine with the per-fire hooks),
+     * whatever the scheduler.
      */
     trace::SimObserver *observer = nullptr;
 

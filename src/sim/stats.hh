@@ -66,7 +66,7 @@ struct SimStats
 
 /**
  * Field-by-field equality over every counter. The parallel-scheduler
- * contract (docs/simulator.md) is bit-identity with the ReadyList
+ * contract (docs/simulator.md) is bit-identity with the DenseScan
  * oracle, so "equal" means every field, not just cycles.
  */
 bool statsEqual(const SimStats &a, const SimStats &b);

@@ -11,11 +11,10 @@
  *  - with no observer attached the simulator pays exactly one
  *    pointer test per would-be callback (verified to be within
  *    noise by bench/micro_benchmarks BM_SimulateObserver);
- *  - the dense-scan and ready-list schedulers emit *identical*
- *    event streams (the simulator falls back to the reference stall
- *    census while observed, and fires are committed in the same
- *    per-round ascending-id order by both schedulers; enforced by
- *    tests/test_trace.cc).
+ *  - an observed run emits the same event stream whatever the
+ *    scheduler setting: observed runs execute on the DenseScan
+ *    oracle, whose stats the default ParallelRegions engine matches
+ *    bit for bit (enforced by tests/test_trace.cc).
  *
  * Concrete sinks live next to this header: ChromeTraceSink (trace
  * viewer JSON), StallTimelineSink (per-node per-interval stall

@@ -1,14 +1,12 @@
 /**
  * @file
  * RecordingObserver — captures the full event stream in memory for
- * replay-style assertions (used by tests/test_trace.cc to prove the
- * dense-scan and ready-list schedulers are observationally
- * identical, and that event counts reconcile with SimStats).
+ * replay-style assertions (used by tests/test_trace.cc to prove an
+ * observed run's event stream does not depend on the scheduler
+ * setting, and that event counts reconcile with SimStats).
  *
- * SyncPlane callbacks are kept in a separate per-cycle list: their
- * position *within* a cycle's stream depends on which fixpoint
- * round first evaluated a group, which is scheduler-specific; the
- * set of cycles is not.
+ * SyncPlane callbacks are kept in a separate per-cycle list: the
+ * hook reports a cycle, not a position within the cycle's stream.
  */
 
 #ifndef PIPESTITCH_TRACE_RECORDING_HH

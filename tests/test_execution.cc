@@ -116,7 +116,7 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
 {
     auto kernel = workloads::makeSpmv(8, 0.5, 7);
     for (auto sched : {sim::SimConfig::Scheduler::DenseScan,
-                       sim::SimConfig::Scheduler::ReadyList}) {
+                       sim::SimConfig::Scheduler::ParallelRegions}) {
         Built b = build(kernel, sched);
 
         // Golden: the legacy entry point, serially, per image.
@@ -153,9 +153,9 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
                 wantMem[static_cast<size_t>(i)],
                 gotMem[static_cast<size_t>(i)],
                 "run " + std::to_string(i) +
-                    (sched ==
-                             sim::SimConfig::Scheduler::ReadyList
-                         ? " ready"
+                    (sched == sim::SimConfig::Scheduler::
+                                  ParallelRegions
+                         ? " parallel"
                          : " reference"));
         }
         // The perturbed inputs really exercised different runs.
@@ -166,20 +166,23 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
 TEST(ConcurrentExecution, ExecutionStateIsReusable)
 {
     auto kernel = workloads::makeSpmv(8, 0.5, 11);
-    Built b = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    for (auto sched : {sim::SimConfig::Scheduler::DenseScan,
+                       sim::SimConfig::Scheduler::ParallelRegions}) {
+        Built b = build(kernel, sched);
 
-    sim::ExecutionState es(b.program);
-    scalar::MemImage mem1 = imageForRun(kernel, 0);
-    sim::SimResult first = es.run(mem1);
+        sim::ExecutionState es(b.program);
+        scalar::MemImage mem1 = imageForRun(kernel, 0);
+        sim::SimResult first = es.run(mem1);
 
-    // A different image in between must not leak state into the
-    // repeat of the first run.
-    scalar::MemImage memOther = imageForRun(kernel, 3);
-    es.run(memOther);
+        // A different image in between must not leak state into the
+        // repeat of the first run.
+        scalar::MemImage memOther = imageForRun(kernel, 3);
+        es.run(memOther);
 
-    scalar::MemImage mem2 = imageForRun(kernel, 0);
-    sim::SimResult second = es.run(mem2);
-    expectSameResult(first, second, mem1, mem2, "reuse");
+        scalar::MemImage mem2 = imageForRun(kernel, 0);
+        sim::SimResult second = es.run(mem2);
+        expectSameResult(first, second, mem1, mem2, "reuse");
+    }
 }
 
 TEST(ConcurrentExecution, ProgramStripsPerRunConfig)

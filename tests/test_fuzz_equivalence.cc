@@ -291,6 +291,75 @@ expectBoundHolds(const dfg::Graph &graph, const sim::SimConfig &cfg,
         << ev.certifiedCycles;
 }
 
+/** Names of the SimStats fields where @p a and @p b differ. */
+std::string
+statsDiff(const sim::SimStats &a, const sim::SimStats &b)
+{
+    std::string out;
+#define PS_DIFF(field)                                                \
+    if (!(a.field == b.field))                                        \
+        out += " " #field;
+    PS_DIFF(cycles)
+    PS_DIFF(nodeFires)
+    PS_DIFF(portReads)
+    PS_DIFF(classFires)
+    PS_DIFF(nocCfFires)
+    PS_DIFF(bufferWrites)
+    PS_DIFF(bufferReads)
+    PS_DIFF(nocTraversals)
+    PS_DIFF(memLoads)
+    PS_DIFF(memStores)
+    PS_DIFF(steerDrops)
+    PS_DIFF(syncPlaneCycles)
+    PS_DIFF(dispatchSpawns)
+    PS_DIFF(dispatchConts)
+    PS_DIFF(shareConflicts)
+    PS_DIFF(muxSwitches)
+    PS_DIFF(interTileTokens)
+    PS_DIFF(stallNoInput)
+    PS_DIFF(stallNoSpace)
+    PS_DIFF(bankConflictStalls)
+#undef PS_DIFF
+    return out;
+}
+
+/**
+ * Run @p cfg on the DenseScan oracle (into @p mem, which holds the
+ * initial image) and on ParallelRegions at threads 0 (one inline
+ * region), 1 (two regions inline) and 2 (two regions on two
+ * workers), so region boundaries, cross-region wakes and the K-way
+ * merge are exercised. Every engine run must equal the oracle's
+ * stats, termination, diagnostic and memory image. @return the
+ * oracle's run.
+ */
+sim::SimResult
+simulateBothEngines(const dfg::Graph &graph, sim::SimConfig cfg,
+                    scalar::MemImage &mem, uint64_t seed,
+                    const std::string &tag)
+{
+    const scalar::MemImage init = mem;
+    cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
+    sim::SimResult oracle = sim::simulate(graph, mem, cfg);
+    cfg.scheduler = sim::SimConfig::Scheduler::ParallelRegions;
+    cfg.parallelJobs = 2;
+    for (int threads : {0, 1, 2}) {
+        cfg.parallelThreads = threads;
+        scalar::MemImage parMem = init;
+        sim::SimResult par = sim::simulate(graph, parMem, cfg);
+        std::string where = "seed " + std::to_string(seed) + " " +
+                            tag + " parallel threads=" +
+                            std::to_string(threads);
+        EXPECT_TRUE(sim::statsEqual(oracle.stats, par.stats))
+            << where << ": differs in"
+            << statsDiff(oracle.stats, par.stats);
+        EXPECT_EQ(oracle.deadlocked, par.deadlocked) << where;
+        EXPECT_EQ(oracle.watchdogExpired, par.watchdogExpired) << where;
+        EXPECT_EQ(oracle.diagnostic, par.diagnostic) << where;
+        EXPECT_EQ(mem, parMem) << where << " memory image";
+    }
+    return oracle;
+}
+
 } // namespace
 
 TEST_P(Fuzz, AllVariantsMatchGolden)
@@ -328,42 +397,27 @@ TEST_P(Fuzz, AllVariantsMatchGolden)
                 compiler::compileProgram(prog, liveIns, opts);
             for (int depth : {2, 4}) {
                 expectCertified(res.graph, seed, depth);
-                // Both schedulers: results are bit-identical by the
-                // engine contract, and the throughput bound must
-                // hold under each. threads = 0 is the ReadyList
-                // run; the parallel engine runs two regions inline
-                // (threads = 1) and on two workers (threads = 2),
-                // so region boundaries, cross-region wakes and the
-                // K-way merge are exercised.
-                for (int threads : {0, 1, 2}) {
-                    auto cfg = res.simConfig;
-                    cfg.bufferDepth = depth;
-                    cfg.maxCycles = 3'000'000;
-                    cfg.scheduler =
-                        threads == 0
-                            ? sim::SimConfig::Scheduler::ReadyList
-                            : sim::SimConfig::Scheduler::
-                                  ParallelRegions;
-                    cfg.parallelJobs = 2;
-                    cfg.parallelThreads = threads;
-                    scalar::MemImage mem = init;
-                    auto sim = sim::simulate(res.graph, mem, cfg);
-                    std::string tag =
-                        std::string(compiler::archVariantName(v)) +
-                        " depth " + std::to_string(depth) +
-                        (threads == 0
-                             ? " readylist"
-                             : " parallel threads=" +
-                                   std::to_string(threads));
-                    ASSERT_FALSE(sim.deadlocked)
-                        << "seed " << seed << " " << tag << "\n"
-                        << sim.diagnostic << "\n"
-                        << sir::print(prog);
-                    ASSERT_EQ(golden, mem)
-                        << "seed " << seed << " " << tag << "\n"
-                        << sir::print(prog);
-                    expectBoundHolds(res.graph, cfg, sim, seed, tag);
-                }
+                // Both engines: results are bit-identical by the
+                // engine contract, so the golden image and the
+                // throughput bound checked on the oracle's run hold
+                // for every engine run too.
+                auto cfg = res.simConfig;
+                cfg.bufferDepth = depth;
+                cfg.maxCycles = 3'000'000;
+                scalar::MemImage mem = init;
+                std::string tag =
+                    std::string(compiler::archVariantName(v)) +
+                    " depth " + std::to_string(depth);
+                auto sim = simulateBothEngines(res.graph, cfg, mem,
+                                               seed, tag);
+                ASSERT_FALSE(sim.deadlocked)
+                    << "seed " << seed << " " << tag << "\n"
+                    << sim.diagnostic << "\n"
+                    << sir::print(prog);
+                ASSERT_EQ(golden, mem)
+                    << "seed " << seed << " " << tag << "\n"
+                    << sir::print(prog);
+                expectBoundHolds(res.graph, cfg, sim, seed, tag);
             }
         }
     }
@@ -406,7 +460,7 @@ TEST_P(Fuzz, TimeMultiplexingPreservesSemantics)
     for (const auto &group : *groups)
         cfg.shareGroups.emplace_back(group.begin(), group.end());
     scalar::MemImage mem = init;
-    auto sim = sim::simulate(res.graph, mem, cfg);
+    auto sim = simulateBothEngines(res.graph, cfg, mem, seed, "timemux");
     ASSERT_FALSE(sim.deadlocked)
         << "seed " << seed << "\n" << sim.diagnostic;
     ASSERT_EQ(golden, mem) << "seed " << seed;
@@ -441,7 +495,9 @@ TEST_P(Fuzz, SpatialUnrollMatchesGolden)
         auto cfg = res.simConfig;
         cfg.maxCycles = 3'000'000;
         scalar::MemImage mem = init;
-        auto sim = sim::simulate(res.graph, mem, cfg);
+        auto sim = simulateBothEngines(
+            res.graph, cfg, mem, seed,
+            "unroll " + std::to_string(unroll));
         ASSERT_FALSE(sim.deadlocked)
             << "seed " << seed << " unroll " << unroll << "\n"
             << sim.diagnostic;

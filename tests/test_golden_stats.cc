@@ -4,11 +4,12 @@
  *
  * Every shipped .sir kernel and every workload kernel runs under
  * {destination, source} buffering × {SyncPlane, greedy} dispatch
- * (plus a time-multiplexed configuration), twice each: once with
- * the dense full-scan reference scheduler and once with the
- * event-driven ready list. The two runs must produce bit-identical
- * SimStats, termination status, and memory images — the ready list
- * is an optimization, never a semantic change.
+ * (plus a time-multiplexed configuration), three times each: once
+ * with the DenseScan reference oracle and twice with the
+ * ParallelRegions engine — one inline region (the default) and two
+ * regions on two forced worker threads. Every run must produce
+ * bit-identical SimStats, termination status, diagnostic and memory
+ * image — the engine is an optimization, never a semantic change.
  *
  * On top of the pairwise check, a fingerprint of each run is
  * compared against tests/golden_stats.txt so that *any* accidental
@@ -104,13 +105,13 @@ fingerprint(const sim::SimResult &r, const scalar::MemImage &mem)
 /** Field-by-field stats equality with readable failure output. */
 void
 expectSameStats(const sim::SimResult &dense,
-                const sim::SimResult &ready,
+                const sim::SimResult &par,
                 const scalar::MemImage &denseMem,
-                const scalar::MemImage &readyMem,
+                const scalar::MemImage &parMem,
                 const std::string &tag)
 {
     const auto &a = dense.stats;
-    const auto &b = ready.stats;
+    const auto &b = par.stats;
 #define PS_EQ(field) EXPECT_EQ(a.field, b.field) << tag << " " #field
     PS_EQ(cycles);
     PS_EQ(nodeFires);
@@ -133,9 +134,10 @@ expectSameStats(const sim::SimResult &dense,
     PS_EQ(bankConflictStalls);
     PS_EQ(interTileTokens);
 #undef PS_EQ
-    EXPECT_EQ(dense.deadlocked, ready.deadlocked) << tag;
-    EXPECT_EQ(dense.diagnostic, ready.diagnostic) << tag;
-    EXPECT_EQ(denseMem, readyMem) << tag << " memory image";
+    EXPECT_EQ(dense.deadlocked, par.deadlocked) << tag;
+    EXPECT_EQ(dense.watchdogExpired, par.watchdogExpired) << tag;
+    EXPECT_EQ(dense.diagnostic, par.diagnostic) << tag;
+    EXPECT_EQ(denseMem, parMem) << tag << " memory image";
 }
 
 workloads::KernelInstance
@@ -237,7 +239,8 @@ allKernels()
 sim::SimResult
 runCase(const workloads::KernelInstance &kernel,
         SimConfig::Buffering buffering, bool greedy, bool timeMux,
-        SimConfig::Scheduler sched, scalar::MemImage &memOut)
+        SimConfig::Scheduler sched, int threads,
+        scalar::MemImage &memOut)
 {
     compiler::CompileOptions opts;
     opts.variant = ArchVariant::Pipestitch;
@@ -249,6 +252,8 @@ runCase(const workloads::KernelInstance &kernel,
     cfg.buffering = buffering;
     cfg.greedyDispatch = greedy;
     cfg.scheduler = sched;
+    cfg.parallelJobs = 2;
+    cfg.parallelThreads = threads;
     cfg.maxCycles = 500000;
     if (timeMux) {
         auto groups = compiler::planTimeMultiplexing(
@@ -288,20 +293,27 @@ class GoldenHarness
           const std::string &tag, SimConfig::Buffering buffering,
           bool greedy, bool timeMux)
     {
-        scalar::MemImage denseMem, readyMem;
+        scalar::MemImage denseMem;
         auto dense =
             runCase(kernel, buffering, greedy, timeMux,
-                    SimConfig::Scheduler::DenseScan, denseMem);
-        auto ready =
-            runCase(kernel, buffering, greedy, timeMux,
-                    SimConfig::Scheduler::ReadyList, readyMem);
-        expectSameStats(dense, ready, denseMem, readyMem, tag);
+                    SimConfig::Scheduler::DenseScan, 0, denseMem);
+        // threads = 0: one inline region; threads = 2: two regions
+        // on two persistent workers.
+        for (int threads : {0, 2}) {
+            scalar::MemImage parMem;
+            auto par = runCase(kernel, buffering, greedy, timeMux,
+                               SimConfig::Scheduler::ParallelRegions,
+                               threads, parMem);
+            expectSameStats(dense, par, denseMem, parMem,
+                            tag + "/threads=" +
+                                std::to_string(threads));
+        }
 
         std::ostringstream line;
-        line << " fp=" << std::hex << fingerprint(ready, readyMem)
-             << std::dec << " cycles=" << ready.stats.cycles
-             << " fires=" << ready.stats.totalPeFires()
-             << " deadlocked=" << (ready.deadlocked ? 1 : 0);
+        line << " fp=" << std::hex << fingerprint(dense, denseMem)
+             << std::dec << " cycles=" << dense.stats.cycles
+             << " fires=" << dense.stats.totalPeFires()
+             << " deadlocked=" << (dense.deadlocked ? 1 : 0);
         if (update) {
             out << tag << line.str() << "\n";
             return;
@@ -334,7 +346,7 @@ class GoldenHarness
 
 } // namespace
 
-TEST(GoldenStats, ReadyListMatchesDenseScanEverywhere)
+TEST(GoldenStats, ParallelRegionsMatchesDenseScanEverywhere)
 {
     setQuiet(true);
     GoldenHarness harness;

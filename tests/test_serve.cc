@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "runner/serve.hh"
 #include "trace/json_parse.hh"
@@ -261,12 +263,12 @@ TEST(Serve, TraceFileRequestWritesChromeTrace)
     fs::remove_all(dir);
 }
 
-TEST(Serve, ParallelSchedulerMatchesReadyAndRejectsTracing)
+TEST(Serve, ParallelSchedulerMatchesDenseAndRejectsTracing)
 {
     ServeServer server(withJobs(1));
 
     // scheduler:"parallel" must run and agree bit-for-bit with a
-    // ready-scheduler run of the same kernel (cycles + mem hash).
+    // dense-scheduler run of the same kernel (cycles + mem hash).
     std::string par = scaleRequest("p", 3);
     par.insert(par.size() - 1, ",\"scheduler\":\"parallel\"");
     JsonValue vp =
@@ -274,7 +276,7 @@ TEST(Serve, ParallelSchedulerMatchesReadyAndRejectsTracing)
     EXPECT_EQ(field(vp, "status"), "ok") << field(vp, "error");
 
     std::string rdy = scaleRequest("r", 3);
-    rdy.insert(rdy.size() - 1, ",\"scheduler\":\"ready\"");
+    rdy.insert(rdy.size() - 1, ",\"scheduler\":\"dense\"");
     JsonValue vr =
         parseResponse(ServeServer::render(server.submit(rdy)));
     EXPECT_EQ(field(vr, "status"), "ok");
@@ -295,22 +297,115 @@ TEST(Serve, ParallelSchedulerMatchesReadyAndRejectsTracing)
     EXPECT_NE(field(vb, "error").find("trace_file"),
               std::string::npos)
         << field(vb, "error");
+    EXPECT_NE(field(vb, "error").find("dense scheduler"),
+              std::string::npos)
+        << field(vb, "error");
 
-    // Unknown scheduler names bounce with the offending name.
-    std::string unk = scaleRequest("u", 3);
-    unk.insert(unk.size() - 1, ",\"scheduler\":\"magic\"");
-    JsonValue vu =
-        parseResponse(ServeServer::render(server.submit(unk)));
-    EXPECT_EQ(field(vu, "status"), "error");
-    EXPECT_NE(field(vu, "error").find("magic"), std::string::npos)
-        << field(vu, "error");
+    // Unknown scheduler names bounce with the offending name; the
+    // removed ready-list scheduler is one of them.
+    for (const char *name : {"magic", "ready"}) {
+        std::string unk = scaleRequest("u", 3);
+        unk.insert(unk.size() - 1,
+                   std::string(",\"scheduler\":\"") + name + "\"");
+        JsonValue vu =
+            parseResponse(ServeServer::render(server.submit(unk)));
+        EXPECT_EQ(field(vu, "status"), "error");
+        EXPECT_NE(field(vu, "error").find(std::string("'") + name +
+                                          "'"),
+                  std::string::npos)
+            << field(vu, "error");
+        EXPECT_NE(field(vu, "error").find("expected dense or parallel"),
+                  std::string::npos)
+            << field(vu, "error");
+    }
+}
+
+namespace {
+
+/**
+ * Pump one request per entry of @p badFields (each a JSON member
+ * list spliced into a valid request) through the serve loop, then a
+ * valid request carrying @p goodFields. Every bad request must come
+ * back as a structured error naming @p name, and the good one queued
+ * after them must still run.
+ */
+void
+expectRangeRejected(const std::string &name,
+                    const std::vector<std::string> &badFields,
+                    const std::string &goodFields)
+{
+    ServeServer server(withJobs(1));
+    std::string input;
+    for (size_t i = 0; i < badFields.size(); i++) {
+        std::string req = scaleRequest("bad" + std::to_string(i), 3);
+        req.insert(req.size() - 1, "," + badFields[i]);
+        input += req + "\n";
+    }
+    std::string good = scaleRequest("good", 3);
+    good.insert(good.size() - 1, "," + goodFields);
+    input += good + "\n";
+
+    std::istringstream in(input);
+    std::ostringstream out;
+    EXPECT_EQ(runner::serveLoop(server, in, out), 0);
+    std::istringstream lines(out.str());
+    std::string line;
+    std::vector<JsonValue> responses;
+    while (std::getline(lines, line))
+        responses.push_back(parseResponse(line));
+    ASSERT_EQ(responses.size(), badFields.size() + 1) << out.str();
+    for (size_t i = 0; i < badFields.size(); i++) {
+        EXPECT_EQ(field(responses[i], "status"), "error")
+            << badFields[i];
+        EXPECT_NE(field(responses[i], "error").find(name),
+                  std::string::npos)
+            << badFields[i] << ": " << field(responses[i], "error");
+    }
+    EXPECT_EQ(field(responses.back(), "id"), "good");
+    EXPECT_EQ(field(responses.back(), "status"), "ok")
+        << field(responses.back(), "error");
+}
+
+} // namespace
+
+TEST(ServeRanges, DepthOutsideRangeIsAnErrorNotAnAbort)
+{
+    expectRangeRejected("depth",
+                        {"\"depth\":0", "\"depth\":-3",
+                         "\"depth\":257", "\"depth\":100000000",
+                         "\"depth\":1e300", "\"depth\":\"4\""},
+                        "\"depth\":256");
+}
+
+TEST(ServeRanges, UnrollOutsideRangeIsAnErrorNotAnAbort)
+{
+    expectRangeRejected("unroll",
+                        {"\"unroll\":3", "\"unroll\":0",
+                         "\"unroll\":-2", "\"unroll\":128"},
+                        "\"unroll\":2");
+}
+
+TEST(ServeRanges, TilesOutsideRangeIsAnErrorNotAnAbort)
+{
+    expectRangeRejected("tiles",
+                        {"\"tiles\":\"1000x1000\"",
+                         "\"tiles\":\"9x1\"", "\"tiles\":\"0x2\""},
+                        "\"tiles\":\"1x2\"");
+}
+
+TEST(ServeRanges, BatchOutsideRangeIsAnErrorNotAnAbort)
+{
+    expectRangeRejected("batch",
+                        {"\"batch\":100000000", "\"batch\":0",
+                         "\"batch\":257"},
+                        "\"batch\":2");
 }
 
 TEST(Serve, TraceWithoutSchedulerRunsTheObservedOracle)
 {
     // ParallelRegions is the default scheduler, but a traced request
     // that names no scheduler must not be refused: its observed run
-    // takes the ReadyList oracle, whose results equal the default
+    // takes the DenseScan oracle, whose results equal the default
     // engine's untraced ones.
     namespace fs = std::filesystem;
     fs::path dir =

@@ -3,7 +3,7 @@
  * Bit-identity gate for the ParallelRegions scheduler
  * (sim/parallel.hh): for every kernel, every job count and both
  * partition modes, the engine's SimStats, termination status,
- * diagnostic text, and memory image must equal the ReadyList
+ * diagnostic text, and memory image must equal the DenseScan
  * oracle's field by field. The partition and the thread count are
  * performance knobs, never semantic ones.
  *
@@ -19,12 +19,12 @@
  *    repeated runs of one engine — CI runs this binary under TSan
  *    to certify the scan/census data-sharing and the epoch barrier;
  *  - the default RunConfig on the paper kernels against an
- *    explicit ReadyList run (the default-engine flip);
+ *    explicit DenseScan run;
  *  - runner::defaultJobs() and the default engine under a one-CPU
  *    affinity mask;
  *  - watchdog diagnostics (diagnose() must match byte-for-byte);
- *  - fallback configurations (source buffering, share groups) that
- *    must pin the oracle.
+ *  - source buffering and share groups (time multiplexing), inline
+ *    and on forced workers, which must run on the engine itself.
  */
 
 #include <gtest/gtest.h>
@@ -119,7 +119,7 @@ TEST(ParallelRegions, SingleGridBitIdentityAcrossJobCounts)
             scalar::MemImage oracleMem;
             auto oracle =
                 runCase(kernel, greedy,
-                        SimConfig::Scheduler::ReadyList,
+                        SimConfig::Scheduler::DenseScan,
                         /*jobs=*/1, /*threads=*/0, oracleMem);
             // threads = 0: the default (one inline region);
             // threads = 1: inline over `jobs` regions; threads =
@@ -153,7 +153,7 @@ TEST(ParallelRegions, ForcedWorkerThreadsStayBitIdentical)
     auto kernel = workloads::makeSpMSpMd(8, 0.8, 6);
     scalar::MemImage oracleMem;
     auto oracle = runCase(kernel, /*greedy=*/false,
-                          SimConfig::Scheduler::ReadyList,
+                          SimConfig::Scheduler::DenseScan,
                           /*jobs=*/1, /*threads=*/0, oracleMem);
     compiler::CompileOptions opts;
     auto res =
@@ -189,10 +189,10 @@ TEST(ParallelRegions, ForcedWorkerThreadsStayBitIdentical)
     }
 }
 
-TEST(ParallelRegions, DefaultConfigMatchesReadyListOnPaperKernels)
+TEST(ParallelRegions, DefaultConfigMatchesDenseScanOnPaperKernels)
 {
     // The default RunConfig runs ParallelRegions; every paper kernel
-    // must reproduce an explicit ReadyList run field by field.
+    // must reproduce an explicit DenseScan run field by field.
     setQuiet(true);
     ASSERT_EQ(RunConfig{}.sim.scheduler,
               SimConfig::Scheduler::ParallelRegions);
@@ -202,7 +202,7 @@ TEST(ParallelRegions, DefaultConfigMatchesReadyListOnPaperKernels)
         std::string err;
         FabricRun def = runOnFabric(kernel, cfg, &err);
         ASSERT_TRUE(err.empty()) << kernel.name << ": " << err;
-        cfg.sim.scheduler = SimConfig::Scheduler::ReadyList;
+        cfg.sim.scheduler = SimConfig::Scheduler::DenseScan;
         FabricRun oracle = runOnFabric(kernel, cfg, &err);
         ASSERT_TRUE(err.empty()) << kernel.name << ": " << err;
         EXPECT_TRUE(sim::statsEqual(def.sim.stats, oracle.sim.stats))
@@ -262,7 +262,7 @@ TEST(ParallelRegions, TiledChannelCutBitIdentityAcrossJobCounts)
     cfg.tilesY = 2;
 
     std::string err;
-    cfg.sim.scheduler = SimConfig::Scheduler::ReadyList;
+    cfg.sim.scheduler = SimConfig::Scheduler::DenseScan;
     FabricRun oracle = runOnFabric(kernel, cfg, &err);
     ASSERT_TRUE(err.empty()) << err;
     ASSERT_GT(oracle.sim.stats.interTileTokens, 0);
@@ -291,7 +291,7 @@ TEST(ParallelRegions, WatchdogDiagnosticsMatchByteForByte)
     auto kernel = workloads::makeDither(16, 8, 3);
     scalar::MemImage oracleMem, parMem;
     auto oracle = runCase(kernel, /*greedy=*/false,
-                          SimConfig::Scheduler::ReadyList,
+                          SimConfig::Scheduler::DenseScan,
                           /*jobs=*/1, /*threads=*/0, oracleMem,
                           /*maxCycles=*/200);
     auto par = runCase(kernel, /*greedy=*/false,
@@ -302,54 +302,71 @@ TEST(ParallelRegions, WatchdogDiagnosticsMatchByteForByte)
     expectSameRun(oracle, par, oracleMem, parMem, "dither/watchdog");
 }
 
-TEST(ParallelRegions, UnsupportedConfigsPinTheOracle)
+TEST(ParallelRegions, SourceBufferingAndShareGroupsMatchTheOracle)
 {
+    // Source buffering (producer rings with per-endpoint cursors)
+    // and share groups (coordinated residency) run on the engine
+    // itself — inline and on forced workers — and must reproduce
+    // DenseScan field by field, the watchdog dump included.
     setQuiet(true);
     auto kernel = workloads::makeDither(16, 8, 2);
     compiler::CompileOptions opts;
     opts.unrollFactor = 2;
     auto res =
         compiler::compileProgram(kernel.prog, kernel.liveIns, opts);
+    auto groups = compiler::planTimeMultiplexing(
+        res.graph, fabric::FabricConfig{});
+    ASSERT_FALSE(groups.empty());
 
-    // Source buffering: a different token-plumbing model.
-    {
-        auto cfg = res.simConfig;
-        cfg.buffering = SimConfig::Buffering::Source;
-        auto prog = std::make_shared<const sim::Program>(
-            std::shared_ptr<const dfg::Graph>(
-                std::shared_ptr<void>{}, &res.graph),
-            cfg);
-        EXPECT_FALSE(sim::parallelSupported(*prog));
-    }
-
-    // Share groups (time multiplexing) serialize PEs arbitrarily.
-    {
-        auto groups = compiler::planTimeMultiplexing(
-            res.graph, fabric::FabricConfig{});
-        ASSERT_FALSE(groups.empty());
-        auto cfg = res.simConfig;
-        for (const auto &group : groups)
-            cfg.shareGroups.emplace_back(group.begin(), group.end());
-        auto prog = std::make_shared<const sim::Program>(
-            std::shared_ptr<const dfg::Graph>(
-                std::shared_ptr<void>{}, &res.graph),
-            cfg);
-        EXPECT_FALSE(sim::parallelSupported(*prog));
-
-        // End to end the fallback must still match ReadyList.
-        auto cfgPar = cfg;
-        cfgPar.scheduler = SimConfig::Scheduler::ParallelRegions;
-        cfgPar.maxCycles = 500000;
-        auto cfgOracle = cfg;
-        cfgOracle.scheduler = SimConfig::Scheduler::ReadyList;
-        cfgOracle.maxCycles = 500000;
-        scalar::MemImage oracleMem = kernel.memory;
-        oracleMem.resize(static_cast<size_t>(kernel.prog.memWords));
-        scalar::MemImage parMem = oracleMem;
-        auto oracle = sim::simulate(res.graph, oracleMem, cfgOracle);
-        auto par = sim::simulate(res.graph, parMem, cfgPar);
-        expectSameRun(oracle, par, oracleMem, parMem,
-                      "dither/tm-fallback");
+    for (bool source : {false, true}) {
+        for (bool share : {false, true}) {
+            if (!source && !share)
+                continue; // covered by the sweeps above
+            for (int64_t maxCycles : {int64_t{500000}, int64_t{300}}) {
+                auto cfg = res.simConfig;
+                cfg.maxCycles = maxCycles;
+                if (source)
+                    cfg.buffering = SimConfig::Buffering::Source;
+                if (share) {
+                    for (const auto &group : groups)
+                        cfg.shareGroups.emplace_back(group.begin(),
+                                                     group.end());
+                }
+                auto cfgOracle = cfg;
+                cfgOracle.scheduler = SimConfig::Scheduler::DenseScan;
+                scalar::MemImage oracleMem = kernel.memory;
+                oracleMem.resize(
+                    static_cast<size_t>(kernel.prog.memWords));
+                auto oracle =
+                    sim::simulate(res.graph, oracleMem, cfgOracle);
+                if (share && maxCycles > 300) {
+                    EXPECT_GT(oracle.stats.muxSwitches, 0);
+                }
+                for (int threads : {0, 1, 4}) {
+                    auto cfgPar = cfg;
+                    cfgPar.scheduler =
+                        SimConfig::Scheduler::ParallelRegions;
+                    cfgPar.parallelJobs = 4;
+                    cfgPar.parallelThreads = threads;
+                    scalar::MemImage parMem = kernel.memory;
+                    parMem.resize(
+                        static_cast<size_t>(kernel.prog.memWords));
+                    sim::EngineCounters ec;
+                    ec.fixpointRounds = -1;
+                    auto par =
+                        sim::simulate(res.graph, parMem, cfgPar, &ec);
+                    std::string tag =
+                        std::string("dither") +
+                        (source ? "/src" : "/dst") +
+                        (share ? "/tm" : "") + "/max=" +
+                        std::to_string(maxCycles) +
+                        "/threads=" + std::to_string(threads);
+                    EXPECT_GT(ec.fixpointRounds, 0)
+                        << tag << ": the engine did not run";
+                    expectSameRun(oracle, par, oracleMem, parMem, tag);
+                }
+            }
+        }
     }
 }
 

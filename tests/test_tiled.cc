@@ -180,15 +180,15 @@ TEST(TiledRun, QuadTileRunMatchesGoldenWithInterTileTraffic)
     EXPECT_FALSE(dense.sim.deadlocked) << dense.sim.diagnostic;
     EXPECT_GT(dense.sim.stats.interTileTokens, 0);
 
-    // The ready-list scheduler must agree cycle-for-cycle with the
+    // The ParallelRegions engine must agree cycle-for-cycle with the
     // dense reference even with latency-N channels in play.
-    cfg.sim.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    FabricRun ready = runOnFabric(kernel, cfg, &err);
+    cfg.sim.scheduler = sim::SimConfig::Scheduler::ParallelRegions;
+    FabricRun par = runOnFabric(kernel, cfg, &err);
     EXPECT_TRUE(err.empty()) << err;
-    EXPECT_EQ(dense.cycles(), ready.cycles());
+    EXPECT_EQ(dense.cycles(), par.cycles());
     EXPECT_EQ(dense.sim.stats.interTileTokens,
-              ready.sim.stats.interTileTokens);
-    EXPECT_EQ(dense.memory, ready.memory);
+              par.sim.stats.interTileTokens);
+    EXPECT_EQ(dense.memory, par.memory);
 
     // Crossing a tile boundary costs interTileLatency cycles, so
     // the tiled run can never beat the same kernel on one big grid

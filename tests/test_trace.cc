@@ -3,9 +3,11 @@
  * Observability-layer tests (src/trace/).
  *
  * The load-bearing claims, each enforced here:
- *   - the dense-scan and ready-list schedulers emit *identical*
- *     event streams through SimObserver (order included), so a
- *     trace is scheduler-independent;
+ *   - an observed run emits the *identical* event stream (order
+ *     included) whatever the scheduler — observed runs execute on
+ *     the DenseScan oracle — and its stats equal the unobserved
+ *     ParallelRegions run's, so a trace describes the run the
+ *     production engine performs;
  *   - event counts reconcile exactly with SimStats;
  *   - attaching an observer never perturbs the simulation itself;
  *   - the Chrome-trace sink writes syntactically valid JSON whose
@@ -306,35 +308,42 @@ sumFires(const sim::SimStats &s)
 TEST(TraceParity, SchedulersEmitIdenticalEventStreams)
 {
     for (const auto &kernel : corpus()) {
-        RecordingObserver dense, ready;
-        scalar::MemImage denseMem, readyMem;
+        RecordingObserver dense, par;
+        scalar::MemImage denseMem, parMem, engineMem;
         auto denseRes = runWith(kernel,
                                 SimConfig::Scheduler::DenseScan,
                                 &dense, denseMem);
-        auto readyRes = runWith(kernel,
-                                SimConfig::Scheduler::ReadyList,
-                                &ready, readyMem);
-        expectSameKeyStats(denseRes.stats, readyRes.stats,
+        auto parRes = runWith(kernel,
+                              SimConfig::Scheduler::ParallelRegions,
+                              &par, parMem);
+        auto engineRes = runWith(kernel,
+                                 SimConfig::Scheduler::ParallelRegions,
+                                 nullptr, engineMem);
+        expectSameKeyStats(denseRes.stats, parRes.stats,
                            kernel.name);
-        EXPECT_EQ(denseMem, readyMem) << kernel.name;
+        EXPECT_TRUE(sim::statsEqual(denseRes.stats, engineRes.stats))
+            << kernel.name << ": the traced run and the engine's run "
+               "disagree";
+        EXPECT_EQ(denseMem, parMem) << kernel.name;
+        EXPECT_EQ(denseMem, engineMem) << kernel.name;
         EXPECT_TRUE(dense.simEnded);
-        EXPECT_TRUE(ready.simEnded);
+        EXPECT_TRUE(par.simEnded);
 
         // The ordered stream must match event for event.
-        ASSERT_EQ(dense.events.size(), ready.events.size())
+        ASSERT_EQ(dense.events.size(), par.events.size())
             << kernel.name;
         for (size_t i = 0; i < dense.events.size(); i++) {
-            if (!(dense.events[i] == ready.events[i])) {
+            if (!(dense.events[i] == par.events[i])) {
                 FAIL() << kernel.name << " event " << i
                        << " diverges: dense "
                        << dense.describe(dense.events[i])
-                       << " vs ready "
-                       << ready.describe(ready.events[i]);
+                       << " vs parallel "
+                       << par.describe(par.events[i]);
             }
         }
         // SyncPlane activity is cycle-granular (see recording.hh);
         // the cycle lists must still agree exactly.
-        EXPECT_EQ(dense.syncPlaneCycles, ready.syncPlaneCycles)
+        EXPECT_EQ(dense.syncPlaneCycles, par.syncPlaneCycles)
             << kernel.name;
     }
 }
@@ -344,8 +353,9 @@ TEST(TraceParity, EventCountsReconcileWithStats)
     for (const auto &kernel : corpus()) {
         RecordingObserver rec;
         scalar::MemImage mem;
-        auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
-                           &rec, mem);
+        auto res = runWith(kernel,
+                           SimConfig::Scheduler::ParallelRegions, &rec,
+                           mem);
         ASSERT_FALSE(res.deadlocked) << kernel.name;
         const auto &s = res.stats;
         using Kind = RecordingObserver::Kind;
@@ -368,8 +378,10 @@ TEST(TraceParity, EventCountsReconcileWithStats)
 
 TEST(TraceParity, ObserverDoesNotPerturbSimulation)
 {
+    // The bare ParallelRegions run takes the engine, the observed one
+    // the DenseScan oracle: their stats must still agree.
     for (auto sched : {SimConfig::Scheduler::DenseScan,
-                       SimConfig::Scheduler::ReadyList}) {
+                       SimConfig::Scheduler::ParallelRegions}) {
         auto kernel = spmvKernel();
         scalar::MemImage bareMem, obsMem;
         auto bare = runWith(kernel, sched, nullptr, bareMem);
@@ -386,7 +398,7 @@ TEST(TraceSinks, ChromeTraceJsonParsesAndReconciles)
     auto kernel = spmvKernel();
     trace::ChromeTraceSink sink;
     scalar::MemImage mem;
-    auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
+    auto res = runWith(kernel, SimConfig::Scheduler::ParallelRegions,
                        &sink, mem);
     ASSERT_FALSE(res.deadlocked);
 
@@ -413,7 +425,7 @@ TEST(TraceSinks, StallTimelineReconciles)
     auto kernel = spmvKernel();
     trace::StallTimelineSink sink(8); // small interval: many buckets
     scalar::MemImage mem;
-    auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
+    auto res = runWith(kernel, SimConfig::Scheduler::ParallelRegions,
                        &sink, mem);
     ASSERT_FALSE(res.deadlocked);
 
@@ -459,7 +471,7 @@ TEST(TraceSinks, ObserverListFansOutToAllSinks)
     EXPECT_FALSE(list.empty());
 
     scalar::MemImage mem;
-    runWith(kernel, SimConfig::Scheduler::ReadyList, &list, mem);
+    runWith(kernel, SimConfig::Scheduler::ParallelRegions, &list, mem);
     ASSERT_GT(a.events.size(), 0u);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.syncPlaneCycles, b.syncPlaneCycles);

@@ -11,8 +11,8 @@
  *   pstool run <file.sir>       compile, map, simulate, verify
  *   pstool scalar <file.sir>    sequential interpreter only
  *   pstool bench-sim <file.sir> time a scheduler against the
- *                               ready-list reference
- *   pstool bench-sim-par        parallel engine vs ready-list oracle
+ *                               DenseScan reference
+ *   pstool bench-sim-par        parallel engine vs DenseScan oracle
  *                               sweep; writes BENCH_sim_par.json
  *   pstool trace <file.sir>     simulate under observation; write a
  *                               Chrome-trace JSON (chrome://tracing
@@ -150,10 +150,10 @@ constexpr Command kCommands[] = {
     {"scalar", "", "run the sequential interpreter only",
      cmdScalar},
     {"bench-sim",
-     "[--variant=V --depth=N --unroll=N --scheduler=dense|ready|"
+     "[--variant=V --depth=N --unroll=N --scheduler=dense|"
      "parallel --jobs=N]",
-     "time a scheduler against the ready-list reference (default "
-     "contender: dense-scan; parallel must be bit-identical)",
+     "time a scheduler against the DenseScan reference (default "
+     "contender: parallel, which must be bit-identical)",
      cmdBenchSim},
     {"trace",
      "[--variant=V --depth=N --unroll=N --out=F --stalls=F "
@@ -217,7 +217,7 @@ usage()
     std::fprintf(
         stderr,
         "  %-10s %s\n             %s\n", "bench-sim-par",
-        "parallel scheduler vs ready-list oracle across a job-count "
+        "parallel scheduler vs DenseScan oracle across a job-count "
         "sweep (no .sir file); bit-identity checked at every job "
         "count",
         "[--smoke --reps=N --out=BENCH_sim_par.json]");
@@ -671,47 +671,35 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
     cfg.bufferDepth = opts.depth;
     const int reps = 3;
 
-    // --scheduler picks the contender timed against the ready-list
-    // reference; the historical default pairing is dense-scan vs
-    // ready-list. --jobs caps the parallel contender's regions and
-    // threads (the engine's default thread policy picks the rest).
+    // --scheduler picks the contender timed against the DenseScan
+    // oracle: parallel (the default engine) or dense itself. --jobs
+    // caps the parallel contender's regions and threads (the
+    // engine's default thread policy picks the rest).
     const std::string sched =
-        opts.scheduler.empty() ? "dense" : opts.scheduler;
-    sim::SimConfig::Scheduler contender;
-    if (sched == "dense") {
-        contender = sim::SimConfig::Scheduler::DenseScan;
-    } else if (sched == "ready") {
-        contender = sim::SimConfig::Scheduler::ReadyList;
-    } else if (sched == "parallel") {
-        contender = sim::SimConfig::Scheduler::ParallelRegions;
-    } else {
-        fatal("--scheduler=%s: expected dense, ready, or parallel",
+        opts.scheduler.empty() ? "parallel" : opts.scheduler;
+    if (sched != "dense" && sched != "parallel")
+        fatal("--scheduler=%s: expected dense or parallel",
               sched.c_str());
-    }
+    const bool parallel = sched == "parallel";
 
     auto refCfg = cfg;
-    refCfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    SimTiming ready = timeSim(res.graph, kernel, refCfg, reps);
+    refCfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
+    SimTiming dense = timeSim(res.graph, kernel, refCfg, reps);
 
     auto conCfg = cfg;
-    conCfg.scheduler = contender;
+    conCfg.scheduler = sim::SimConfig::Scheduler::ParallelRegions;
     conCfg.parallelJobs = opts.jobs;
     SimTiming con =
-        contender == sim::SimConfig::Scheduler::ReadyList
-            ? ready
-            : timeSim(res.graph, kernel, conCfg, reps);
+        parallel ? timeSim(res.graph, kernel, conCfg, reps) : dense;
 
-    if (con.cycles != ready.cycles)
-        fatal("scheduler divergence: %s %lld cycles, "
-              "ready %lld cycles",
-              sched.c_str(), static_cast<long long>(con.cycles),
-              static_cast<long long>(ready.cycles));
     // The parallel engine's contract is stronger than matching
     // cycle counts: every stats field must be bit-identical.
-    if (sched == "parallel" &&
-        !sim::statsEqual(con.stats, ready.stats))
-        fatal("parallel scheduler stats diverge from the "
-              "ready-list oracle on %s", kernel.name.c_str());
+    if (!sim::statsEqual(con.stats, dense.stats) ||
+        con.deadlocked != dense.deadlocked)
+        fatal("parallel scheduler stats diverge from the DenseScan "
+              "oracle on %s (%lld vs %lld cycles)",
+              kernel.name.c_str(), static_cast<long long>(con.cycles),
+              static_cast<long long>(dense.cycles));
 
     // The certified static bound must hold on the reference run —
     // the same gate executeOnFabric applies to mapped runs, here
@@ -721,58 +709,39 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
         std::shared_ptr<const dfg::Graph>(), &res.graph);
     sim::Program boundProg(hold, refCfg);
     sim::BoundReport::Evaluation boundEval =
-        analysis::computeBound(boundProg).evaluate(ready.stats);
-    if (!ready.deadlocked && !boundEval.holds(ready.cycles))
+        analysis::computeBound(boundProg).evaluate(dense.stats);
+    if (!dense.deadlocked && !boundEval.holds(dense.cycles))
         fatal("%s: simulated %lld cycles beats the certified "
               "static bound of %lld cycles — analyzer and "
               "simulator disagree",
               kernel.name.c_str(),
-              static_cast<long long>(ready.cycles),
+              static_cast<long long>(dense.cycles),
               static_cast<long long>(boundEval.certifiedCycles));
 
-    // Historical orientation: the default report shows how much
-    // faster ready-list is than dense-scan (speedup = dense/ready);
-    // for an explicit contender the speedup is over the ready-list
-    // reference (ready/contender).
-    double speedup;
-    const char *conKey;
-    if (sched == "dense") {
-        speedup = ready.ms > 0 ? con.ms / ready.ms : 0;
-        conKey = "dense_ms";
-    } else {
-        speedup = con.ms > 0 ? ready.ms / con.ms : 0;
-        conKey = sched == "parallel" ? "parallel_ms" : "ready_ms";
-    }
+    const double speedup = con.ms > 0 ? dense.ms / con.ms : 0;
     if (opts.json) {
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)
             .add("kernel", kernel.name)
             .add("nodes", res.graph.size())
-            .add("cycles", ready.cycles)
+            .add("cycles", dense.cycles)
             .add("bound_cycles", boundEval.certifiedCycles)
-            .add("scheduler", sched);
-        if (sched != "ready")
-            r.add(conKey, con.ms);
-        r.add("ready_ms", ready.ms).add("speedup", speedup);
-        if (sched == "parallel")
-            r.add("jobs", opts.jobs)
-                .add("identical", true);
+            .add("scheduler", sched)
+            .add("dense_ms", dense.ms);
+        if (parallel)
+            r.add("parallel_ms", con.ms).add("jobs", opts.jobs);
+        r.add("speedup", speedup).add("identical", true);
         std::printf("%s\n", r.toJson().c_str());
-    } else if (sched == "dense") {
-        std::printf("%s: %d operators, %lld cycles\n"
-                    "  dense-scan  %9.3f ms\n"
-                    "  ready-list  %9.3f ms  (%.2fx speedup)\n",
-                    kernel.name.c_str(), res.graph.size(),
-                    static_cast<long long>(ready.cycles), con.ms,
-                    ready.ms, speedup);
     } else {
         std::printf("%s: %d operators, %lld cycles\n"
-                    "  ready-list  %9.3f ms\n"
-                    "  %-10s  %9.3f ms  (%.2fx speedup%s)\n",
+                    "  dense-scan  %9.3f ms\n",
                     kernel.name.c_str(), res.graph.size(),
-                    static_cast<long long>(ready.cycles), ready.ms,
-                    sched.c_str(), con.ms, speedup,
-                    sched == "parallel" ? ", bit-identical" : "");
+                    static_cast<long long>(dense.cycles), dense.ms);
+        if (parallel) {
+            std::printf("  parallel    %9.3f ms  (%.2fx speedup, "
+                        "bit-identical)\n",
+                        con.ms, speedup);
+        }
     }
     return 0;
 }
@@ -1569,7 +1538,7 @@ cmdBenchTiles(int argc, char **argv)
 
 /**
  * `pstool bench-sim-par` — the parallel-scheduler benchmark. Times
- * the ParallelRegions engine against the ReadyList oracle on the
+ * the ParallelRegions engine against the DenseScan oracle on the
  * paper-scale kernels over a job-count sweep, verifies bit-identical
  * SimStats at every job count, and writes BENCH_sim_par.json. The
  * shared timeSim harness (same warmup + best-of-reps policy as
@@ -1578,7 +1547,8 @@ cmdBenchTiles(int argc, char **argv)
  * one inline region whatever the job count — what every default
  * run gets) and `forced_runs` with parallelThreads=jobs (jobs
  * regions on jobs persistent workers), so the threaded path stays
- * measured and checked for bit-identity. Every row reports the regions and threads the engine chose and its
+ * measured and checked for bit-identity. Every row reports the
+ * regions and threads the engine chose and its
  * fixpoint-round and barrier counters. Exit is nonzero if any run
  * diverges from the oracle.
  */
@@ -1608,11 +1578,11 @@ cmdBenchSimPar(int argc, char **argv)
         workloads::KernelInstance kernel;
         int unroll;
     };
-    // The _uN suffix is the spatial unroll factor, as in
-    // BENCH_sim_sched.json. Larger unrolls grow the mapped graph —
-    // the oracle's per-cycle scan cost grows with the live-node
-    // count while the parallel engine's dormancy tracking keeps its
-    // working set small, so the speedup widens with kernel size.
+    // The _uN suffix is the spatial unroll factor. Larger unrolls
+    // grow the mapped graph — the oracle's per-cycle scan cost grows
+    // with the node count while the parallel engine's dormancy
+    // tracking keeps its working set small, so the speedup widens
+    // with kernel size.
     std::vector<Case> cases;
     cases.push_back(
         {"spmspmd_u8", workloads::makeSpMSpMd(64, 0.89, 4), 8});
@@ -1633,7 +1603,9 @@ cmdBenchSimPar(int argc, char **argv)
     if (smoke)
         reps = 1;
 
-    constexpr double kTargetSpeedup = 3.0;
+    // 3.0x over the retired ReadyList engine, rescaled by its
+    // measured 2.5x over DenseScan.
+    constexpr double kTargetSpeedup = 7.5;
     bool allIdentical = true;
     bool targetMet = false;
     std::ostringstream out;
@@ -1651,15 +1623,15 @@ cmdBenchSimPar(int argc, char **argv)
                                             c.kernel.liveIns, copts);
         auto cfg = res.simConfig;
         cfg.maxCycles = 8000000;
-        cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-        SimTiming ready = timeSim(res.graph, c.kernel, cfg, reps);
+        cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
+        SimTiming dense = timeSim(res.graph, c.kernel, cfg, reps);
 
         w.beginObject();
         w.key("kernel").value(c.name);
         w.key("unroll").value(c.unroll);
         w.key("nodes").value(res.graph.size());
-        w.key("cycles").value(ready.cycles);
-        w.key("ready_ms").value(ready.ms);
+        w.key("cycles").value(dense.cycles);
+        w.key("dense_ms").value(dense.ms);
         // threads = 0: the default policy; threads = jobs: forced
         // workers (jobs = 1 is the inline baseline for both).
         for (bool forced : {false, true}) {
@@ -1673,10 +1645,10 @@ cmdBenchSimPar(int argc, char **argv)
                 SimTiming par =
                     timeSim(res.graph, c.kernel, cfg, reps);
                 bool identical =
-                    sim::statsEqual(par.stats, ready.stats) &&
-                    par.deadlocked == ready.deadlocked;
+                    sim::statsEqual(par.stats, dense.stats) &&
+                    par.deadlocked == dense.deadlocked;
                 allIdentical &= identical;
-                double speedup = par.ms > 0 ? ready.ms / par.ms : 0;
+                double speedup = par.ms > 0 ? dense.ms / par.ms : 0;
                 if (!forced && identical && jobs >= 4 &&
                     speedup >= kTargetSpeedup)
                     targetMet = true;
@@ -1703,12 +1675,12 @@ cmdBenchSimPar(int argc, char **argv)
                 w.endObject();
                 std::fprintf(
                     stderr,
-                    "bench-sim-par %-13s jobs=%d%s  ready=%9.3f ms  "
+                    "bench-sim-par %-13s jobs=%d%s  dense=%9.3f ms  "
                     "parallel=%9.3f ms  %.2fx  %s  regions=%d "
                     "threads=%d rounds/cycle=%.2f barriers=%lld "
                     "waits=%lld (%.1f ms)\n",
                     c.name.c_str(), jobs, forced ? " forced" : "",
-                    ready.ms, par.ms, speedup,
+                    dense.ms, par.ms, speedup,
                     identical ? "bit-identical" : "DIVERGED",
                     ec.regions, ec.threads, rounds,
                     static_cast<long long>(ec.barriers),
