@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -200,6 +199,9 @@ ParallelEngine::buildTables()
         ps_assert(sourceMode || node.numInputs() == 0 ||
                       p.insDepth == depth,
                   "non-uniform input depth on node %d", id);
+        ps_assert(sourceMode || p.outsDepth == 0 ||
+                      p.outsDepth == depth,
+                  "non-uniform output depth on node %d", id);
         hasOutBufA[i] = p.outsDepth > 0 ? 1 : 0;
         outCapA[i] = p.outsDepth;
         outStride = std::max(outStride, p.outsDepth);
@@ -345,6 +347,14 @@ ParallelEngine::buildTables()
         R.liveBits.assign(words, 0);
         R.roundBits.assign(words, 0);
         R.nextBits.assign(words, 0);
+        if (prog.cfg.shareGroups.empty())
+            continue;
+        R.scanMask.assign(words, 0);
+        const auto &seq = regSeq[static_cast<size_t>(r)];
+        for (size_t k = 0; k < seq.size(); k++) {
+            if (prog.shareGroupOf[static_cast<size_t>(seq[k])] < 0)
+                R.scanMask[k / 64] |= uint64_t{1} << (k % 64);
+        }
     }
     liveNocBits.assign(static_cast<size_t>(nocWords), 0);
     nocSweepBits.assign(static_cast<size_t>(nocWords), 0);
@@ -543,13 +553,23 @@ ParallelEngine::avail(int ip) const
     return insAvailFrom[static_cast<size_t>(ip)] <= cycle;
 }
 
+template <bool Src>
+inline int
+ParallelEngine::outCap(size_t i) const
+{
+    if constexpr (Src)
+        return outCapA[i];
+    return depth;
+}
+
+template <bool Src>
 inline ParallelEngine::Tok
 ParallelEngine::peekIn(NodeId id, int in) const
 {
     int ip = insBase[static_cast<size_t>(id)] + in;
     if (portMode[static_cast<size_t>(ip)] == PortImm)
         return Tok{portImmVal[static_cast<size_t>(ip)], NoTag};
-    if (sourceMode)
+    if constexpr (Src)
         return ringPeek(ip);
     size_t slot = static_cast<size_t>(ip) *
                       static_cast<size_t>(depth) +
@@ -581,6 +601,7 @@ ParallelEngine::pushIn(int ip, Word value, int32_t tag, int64_t born)
     return false;
 }
 
+template <bool Src>
 ParallelEngine::Tok
 ParallelEngine::consumeIn(NodeId id, int in)
 {
@@ -588,7 +609,7 @@ ParallelEngine::consumeIn(NodeId id, int in)
     const size_t pi = static_cast<size_t>(ip);
     if (portMode[pi] == PortImm)
         return Tok{portImmVal[pi], NoTag};
-    if (sourceMode)
+    if constexpr (Src)
         return ringTake(ip);
     int h = insHeadA[pi];
     size_t slot =
@@ -749,6 +770,7 @@ ParallelEngine::consumersAccept(NodeId id, int port) const
     return true;
 }
 
+template <bool Src>
 inline bool
 ParallelEngine::outSpace(NodeId id, int port, int need) const
 {
@@ -760,7 +782,7 @@ ParallelEngine::outSpace(NodeId id, int port, int need) const
         int op = outsBase[static_cast<size_t>(id)] + port;
         int reserved =
             port == 0 ? reservedOutA[static_cast<size_t>(id)] : 0;
-        return outCapA[static_cast<size_t>(id)] -
+        return outCap<Src>(static_cast<size_t>(id)) -
                    outCount[static_cast<size_t>(op)] - reserved >=
                need;
     }
@@ -815,13 +837,14 @@ ParallelEngine::deliver(NodeId from, int port, Word value,
         // consume moves the head, so a PE consumer needs no wake:
         // retained-woken and dormant nodes bill the same stall
         // counters cycle for cycle. NoC latches always wake — the
-        // settle-sweep prune keys off wokenAt.
+        // settle-sweep prune keys off wokenB.
         if (head || nocA[static_cast<size_t>(edgeNode[ei])])
             wakeDeliver(edgeNode[ei]);
     }
     activeFlag = true;
 }
 
+template <bool Src>
 void
 ParallelEngine::emit(NodeId id, int port, Word value, int32_t tag)
 {
@@ -829,7 +852,7 @@ ParallelEngine::emit(NodeId id, int port, Word value, int32_t tag)
     if (prog.consBase[static_cast<size_t>(p) + 1] ==
         prog.consBase[static_cast<size_t>(p)])
         return;
-    if (sourceMode) {
+    if constexpr (Src) {
         ringPush(id, port, value, tag);
         return;
     }
@@ -992,6 +1015,7 @@ ParallelEngine::wakeSpace(NodeId id)
 // canFire / commitFire (oracle transliteration over SoA state)
 // ---------------------------------------------------------------------
 
+template <bool Src>
 uint8_t
 ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
                             int64_t horizon)
@@ -1007,14 +1031,14 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
       case NodeKind::Trigger: {
         if (trigFiredA[i])
             return VIdle;
-        if (!outSpace(id, 0, 1))
+        if (!outSpace<Src>(id, 0, 1))
             return VSpace;
         return VNo;
       }
       case NodeKind::Const: {
         if (!need(0))
             return VInput;
-        return outSpace(id, 0, 1) ? VNo : VSpace;
+        return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
       }
       case NodeKind::Arith: {
         int want = wantA[i];
@@ -1022,15 +1046,15 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
             if (!need(in))
                 return VInput;
         }
-        return outSpace(id, 0, 1) ? VNo : VSpace;
+        return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
       }
       case NodeKind::Steer: {
         if (!need(pidx::SteerDecider) || !need(pidx::SteerValue))
             return VInput;
         bool forward =
-            (peekIn(id, pidx::SteerDecider).value != 0) ==
+            (peekIn<Src>(id, pidx::SteerDecider).value != 0) ==
             (steerTrueA[i] != 0);
-        if (forward && !outSpace(id, 0, 1))
+        if (forward && !outSpace<Src>(id, 0, 1))
             return VSpace;
         return VNo;
       }
@@ -1038,20 +1062,20 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
         if (fsmA[i] == FsmInit) {
             if (!need(pidx::CarryInit))
                 return VInput;
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         if (fsmA[i] == FsmWaitVal) {
             if (!need(pidx::CarryCont))
                 return VInput;
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         // Run: the decider is consumed eagerly; a true decider with
         // the backedge value present forwards it in one firing.
         if (!need(pidx::CarryDecider))
             return VInput;
-        if (peekIn(id, pidx::CarryDecider).value != 0 &&
+        if (peekIn<Src>(id, pidx::CarryDecider).value != 0 &&
             need(pidx::CarryCont)) {
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         return VNo;
       }
@@ -1059,12 +1083,12 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
         if (fsmA[i] == FsmInit) {
             if (!need(pidx::InvValue))
                 return VInput;
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         if (!need(pidx::InvDecider))
             return VInput;
-        if (peekIn(id, pidx::InvDecider).value != 0) {
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+        if (peekIn<Src>(id, pidx::InvDecider).value != 0) {
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         return VNo;
       }
@@ -1072,11 +1096,11 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
         if (fsmA[i] == FsmWaitVal) {
             if (!need(pendingSideA[i]))
                 return VInput;
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         if (!need(pidx::MergeDecider))
             return VInput;
-        int side = peekIn(id, pidx::MergeDecider).value != 0
+        int side = peekIn<Src>(id, pidx::MergeDecider).value != 0
                        ? pidx::MergeTrue
                        : pidx::MergeFalse;
         if (portMode[static_cast<size_t>(base + side)] ==
@@ -1085,7 +1109,7 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
             // Consume the decider now, wait for the value.
             return VNo;
         }
-        return outSpace(id, 0, 1) ? VNo : VSpace;
+        return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
       }
       case NodeKind::Dispatch: {
         if (greedyDispatch) {
@@ -1093,7 +1117,7 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
             bool s = need(pidx::DispatchSpawn);
             if (!c && !s)
                 return VInput;
-            return outSpace(id, 0, 1) ? VNo : VSpace;
+            return outSpace<Src>(id, 0, 1) ? VNo : VSpace;
         }
         return groupChoiceA[static_cast<size_t>(loopIdA[i])] ==
                        GcNone
@@ -1118,7 +1142,7 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
             prog.consBase[static_cast<size_t>(p)];
         if (hasOutBufA[i] && dataConsumed) {
             int op = outsBase[i] + pidx::LoadDataOut;
-            if (outCapA[i] - outCount[static_cast<size_t>(op)] -
+            if (outCap<Src>(i) - outCount[static_cast<size_t>(op)] -
                     reservedOutA[i] <
                 1)
                 return VSpace;
@@ -1126,11 +1150,11 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
         int pd = prog.portBase[i] + pidx::LoadDoneOut;
         if (prog.consBase[static_cast<size_t>(pd) + 1] >
                 prog.consBase[static_cast<size_t>(pd)] &&
-            !outSpace(id, pidx::LoadDoneOut, 1)) {
+            !outSpace<Src>(id, pidx::LoadDoneOut, 1)) {
             return VSpace;
         }
         memReady = true;
-        addr = peekIn(id, pidx::LoadAddr).value + immA[i];
+        addr = peekIn<Src>(id, pidx::LoadAddr).value + immA[i];
         return VNo; // bank arbitration happens coordinated
       }
       case NodeKind::Store: {
@@ -1146,11 +1170,11 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
         int pd = prog.portBase[i] + pidx::StoreDoneOut;
         if (prog.consBase[static_cast<size_t>(pd) + 1] >
                 prog.consBase[static_cast<size_t>(pd)] &&
-            !outSpace(id, pidx::StoreDoneOut, 1)) {
+            !outSpace<Src>(id, pidx::StoreDoneOut, 1)) {
             return VSpace;
         }
         memReady = true;
-        addr = peekIn(id, pidx::StoreAddr).value + immA[i];
+        addr = peekIn<Src>(id, pidx::StoreAddr).value + immA[i];
         return VNo;
       }
       case NodeKind::Stream: {
@@ -1165,15 +1189,15 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
                 !need(pidx::StreamTrigger)) {
                 return VInput;
             }
-            cur = peekIn(id, pidx::StreamBegin).value;
-            end = peekIn(id, pidx::StreamEnd).value;
+            cur = peekIn<Src>(id, pidx::StreamBegin).value;
+            end = peekIn<Src>(id, pidx::StreamEnd).value;
         } else {
             cur = streamCurA[i];
             end = streamEndA[i];
         }
-        if (cur < end && !outSpace(id, pidx::StreamIdxOut, 1))
+        if (cur < end && !outSpace<Src>(id, pidx::StreamIdxOut, 1))
             return VSpace;
-        if (!outSpace(id, pidx::StreamCondOut, 1))
+        if (!outSpace<Src>(id, pidx::StreamCondOut, 1))
             return VSpace;
         return VNo;
       }
@@ -1181,12 +1205,13 @@ ParallelEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
     panic("unknown node kind");
 }
 
+template <bool Src>
 uint8_t
 ParallelEngine::canFireFull(NodeId id)
 {
     bool memReady = false;
     Word addr = 0;
-    uint8_t why = scanCanFire(id, memReady, addr, cycle);
+    uint8_t why = scanCanFire<Src>(id, memReady, addr, cycle);
     if (!memReady)
         return why;
     return bankClaimedAt[static_cast<size_t>(
@@ -1196,6 +1221,7 @@ ParallelEngine::canFireFull(NodeId id)
                : VNo;
 }
 
+template <bool Src>
 __attribute__((flatten)) void
 ParallelEngine::commitFire(NodeId id)
 {
@@ -1218,31 +1244,31 @@ ParallelEngine::commitFire(NodeId id)
       case NodeKind::Trigger: {
         trigFiredA[i] = 1;
         triggersPending--;
-        emit(id, 0, immA[i], NoTag);
+        emit<Src>(id, 0, immA[i], NoTag);
         break;
       }
       case NodeKind::Const: {
-        Tok t = consumeIn(id, 0);
-        emit(id, 0, immA[i], t.tag);
+        Tok t = consumeIn<Src>(id, 0);
+        emit<Src>(id, 0, immA[i], t.tag);
         break;
       }
       case NodeKind::Arith: {
         int want = wantA[i];
-        Tok a = consumeIn(id, 0);
-        Tok b = consumeIn(id, 1);
-        Tok c = want == 3 ? consumeIn(id, 2) : Tok{};
+        Tok a = consumeIn<Src>(id, 0);
+        Tok b = consumeIn<Src>(id, 1);
+        Tok c = want == 3 ? consumeIn<Src>(id, 2) : Tok{};
         int32_t tag = combine3(id, a.tag, b.tag, c.tag);
-        emit(id, 0,
+        emit<Src>(id, 0,
              sir::evalOpcode(opcA[i], a.value, b.value, c.value),
              tag);
         break;
       }
       case NodeKind::Steer: {
-        Tok d = consumeIn(id, pidx::SteerDecider);
-        Tok v = consumeIn(id, pidx::SteerValue);
+        Tok d = consumeIn<Src>(id, pidx::SteerDecider);
+        Tok v = consumeIn<Src>(id, pidx::SteerValue);
         int32_t tag = combine2(id, d.tag, v.tag);
         if ((d.value != 0) == (steerTrueA[i] != 0)) {
-            emit(id, 0, v.value, tag);
+            emit<Src>(id, 0, v.value, tag);
         } else {
             stats.steerDrops++;
         }
@@ -1250,22 +1276,22 @@ ParallelEngine::commitFire(NodeId id)
       }
       case NodeKind::Carry: {
         if (fsmA[i] == FsmInit) {
-            Tok a = consumeIn(id, pidx::CarryInit);
+            Tok a = consumeIn<Src>(id, pidx::CarryInit);
             fsmA[i] = FsmRun;
-            emit(id, 0, a.value, a.tag);
+            emit<Src>(id, 0, a.value, a.tag);
         } else if (fsmA[i] == FsmWaitVal) {
-            Tok b = consumeIn(id, pidx::CarryCont);
+            Tok b = consumeIn<Src>(id, pidx::CarryCont);
             int32_t tag = combine2(id, latchTagA[i], b.tag);
             fsmA[i] = FsmRun;
-            emit(id, 0, b.value, tag);
+            emit<Src>(id, 0, b.value, tag);
         } else {
-            Tok d = consumeIn(id, pidx::CarryDecider);
+            Tok d = consumeIn<Src>(id, pidx::CarryDecider);
             if (d.value == 0) {
                 fsmA[i] = FsmInit;
             } else if (avail(insBase[i] + pidx::CarryCont)) {
-                Tok b = consumeIn(id, pidx::CarryCont);
+                Tok b = consumeIn<Src>(id, pidx::CarryCont);
                 int32_t tag = combine2(id, d.tag, b.tag);
-                emit(id, 0, b.value, tag);
+                emit<Src>(id, 0, b.value, tag);
             } else {
                 latchValA[i] = d.value;
                 latchTagA[i] = d.tag;
@@ -1276,16 +1302,16 @@ ParallelEngine::commitFire(NodeId id)
       }
       case NodeKind::Invariant: {
         if (fsmA[i] == FsmInit) {
-            Tok a = consumeIn(id, pidx::InvValue);
+            Tok a = consumeIn<Src>(id, pidx::InvValue);
             latchValA[i] = a.value;
             latchTagA[i] = a.tag;
             fsmA[i] = FsmRun;
-            emit(id, 0, a.value, a.tag);
+            emit<Src>(id, 0, a.value, a.tag);
         } else {
-            Tok d = consumeIn(id, pidx::InvDecider);
+            Tok d = consumeIn<Src>(id, pidx::InvDecider);
             if (d.value != 0) {
                 int32_t tag = combine2(id, d.tag, latchTagA[i]);
-                emit(id, 0, latchValA[i], tag);
+                emit<Src>(id, 0, latchValA[i], tag);
             } else {
                 fsmA[i] = FsmInit;
                 latchValA[i] = 0;
@@ -1296,13 +1322,13 @@ ParallelEngine::commitFire(NodeId id)
       }
       case NodeKind::Merge: {
         if (fsmA[i] == FsmWaitVal) {
-            Tok v = consumeIn(id, pendingSideA[i]);
+            Tok v = consumeIn<Src>(id, pendingSideA[i]);
             int32_t tag = combine2(id, latchTagA[i], v.tag);
             fsmA[i] = FsmRun;
-            emit(id, 0, v.value, tag);
+            emit<Src>(id, 0, v.value, tag);
             break;
         }
-        Tok d = consumeIn(id, pidx::MergeDecider);
+        Tok d = consumeIn<Src>(id, pidx::MergeDecider);
         int side = d.value != 0 ? pidx::MergeTrue : pidx::MergeFalse;
         if (portMode[static_cast<size_t>(insBase[i] + side)] ==
                 PortWired &&
@@ -1313,9 +1339,9 @@ ParallelEngine::commitFire(NodeId id)
             fsmA[i] = FsmWaitVal;
             break;
         }
-        Tok v = consumeIn(id, side);
+        Tok v = consumeIn<Src>(id, side);
         int32_t tag = combine2(id, d.tag, v.tag);
-        emit(id, 0, v.value, tag);
+        emit<Src>(id, 0, v.value, tag);
         break;
       }
       case NodeKind::Dispatch: {
@@ -1332,28 +1358,28 @@ ParallelEngine::commitFire(NodeId id)
                          : GcSpawn;
         }
         if (choice == GcCont) {
-            Tok t = consumeIn(id, pidx::DispatchCont);
+            Tok t = consumeIn<Src>(id, pidx::DispatchCont);
             stats.dispatchConts++;
-            emit(id, 0, t.value, t.tag);
+            emit<Src>(id, 0, t.value, t.tag);
         } else {
-            Tok t = consumeIn(id, pidx::DispatchSpawn);
+            Tok t = consumeIn<Src>(id, pidx::DispatchSpawn);
             // All gates in the group fire this cycle and must agree
             // on the new thread's identity; nextThreadTag advances
             // once per group per cycle (see runFixpoint()).
             stats.dispatchSpawns++;
-            emit(id, 0, t.value, nextThreadTag);
+            emit<Src>(id, 0, t.value, nextThreadTag);
         }
         break;
       }
       case NodeKind::Load: {
-        Tok a = consumeIn(id, pidx::LoadAddr);
+        Tok a = consumeIn<Src>(id, pidx::LoadAddr);
         Word addr = a.value + immA[i]; // configured base offset
         int32_t tag = a.tag;
         if (insBase[i + 1] - insBase[i] > pidx::LoadOrder &&
             portMode[static_cast<size_t>(insBase[i] +
                                          pidx::LoadOrder)] ==
                 PortWired) {
-            Tok ord = consumeIn(id, pidx::LoadOrder);
+            Tok ord = consumeIn<Src>(id, pidx::LoadOrder);
             tag = combine2(id, tag, ord.tag);
         }
         // The bank port was claimed at selection; the value is read
@@ -1398,19 +1424,19 @@ ParallelEngine::commitFire(NodeId id)
             prog.consBase[static_cast<size_t>(p)])
             reservedOutA[i]++;
         stats.memLoads++;
-        emit(id, pidx::LoadDoneOut, 1, tag);
+        emit<Src>(id, pidx::LoadDoneOut, 1, tag);
         break;
       }
       case NodeKind::Store: {
-        Tok a = consumeIn(id, pidx::StoreAddr);
+        Tok a = consumeIn<Src>(id, pidx::StoreAddr);
         Word addr = a.value + immA[i]; // configured base offset
-        Tok data = consumeIn(id, pidx::StoreData);
+        Tok data = consumeIn<Src>(id, pidx::StoreData);
         int32_t tag = combine2(id, a.tag, data.tag);
         if (insBase[i + 1] - insBase[i] > pidx::StoreOrder &&
             portMode[static_cast<size_t>(insBase[i] +
                                          pidx::StoreOrder)] ==
                 PortWired) {
-            Tok ord = consumeIn(id, pidx::StoreOrder);
+            Tok ord = consumeIn<Src>(id, pidx::StoreOrder);
             tag = combine2(id, tag, ord.tag);
         }
         ps_assert(addr >= 0 &&
@@ -1419,19 +1445,19 @@ ParallelEngine::commitFire(NodeId id)
                   addr, mem->size());
         (*mem)[static_cast<size_t>(addr)] = data.value;
         stats.memStores++;
-        emit(id, pidx::StoreDoneOut, 1, tag);
+        emit<Src>(id, pidx::StoreDoneOut, 1, tag);
         break;
       }
       case NodeKind::Stream: {
         if (fsmA[i] == FsmInit) {
-            Tok begin = consumeIn(id, pidx::StreamBegin);
-            Tok end = consumeIn(id, pidx::StreamEnd);
+            Tok begin = consumeIn<Src>(id, pidx::StreamBegin);
+            Tok end = consumeIn<Src>(id, pidx::StreamEnd);
             int32_t tag = combine2(id, begin.tag, end.tag);
             if (insBase[i + 1] - insBase[i] > pidx::StreamTrigger &&
                 portMode[static_cast<size_t>(
                     insBase[i] + pidx::StreamTrigger)] ==
                     PortWired) {
-                Tok trig = consumeIn(id, pidx::StreamTrigger);
+                Tok trig = consumeIn<Src>(id, pidx::StreamTrigger);
                 tag = combine2(id, tag, trig.tag);
             }
             streamCurA[i] = begin.value;
@@ -1442,11 +1468,11 @@ ParallelEngine::commitFire(NodeId id)
         }
         int32_t tag = latchTagA[i];
         if (streamCurA[i] < streamEndA[i]) {
-            emit(id, pidx::StreamIdxOut, streamCurA[i], tag);
-            emit(id, pidx::StreamCondOut, 1, tag);
+            emit<Src>(id, pidx::StreamIdxOut, streamCurA[i], tag);
+            emit<Src>(id, pidx::StreamCondOut, 1, tag);
             streamCurA[i] += streamStepA[i];
         } else {
-            emit(id, pidx::StreamCondOut, 0, tag);
+            emit<Src>(id, pidx::StreamCondOut, 0, tag);
             fsmA[i] = FsmInit;
             streamsRunning--;
         }
@@ -1503,6 +1529,7 @@ ParallelEngine::drainPhase()
     }
 }
 
+template <bool Src>
 void
 ParallelEngine::memCompletionsPhase()
 {
@@ -1529,7 +1556,7 @@ ParallelEngine::memCompletionsPhase()
         reservedOutA[i]--;
         wake(id); // reservation slot freed
         activeFlag = true;
-        if (sourceMode) {
+        if constexpr (Src) {
             ringPush(id, pidx::LoadDataOut, v, t);
             continue;
         }
@@ -1599,6 +1626,7 @@ ParallelEngine::channelsPhase()
     }
 }
 
+template <bool Src>
 void
 ParallelEngine::decideDispatchGroups(bool firstRound)
 {
@@ -1648,7 +1676,7 @@ ParallelEngine::decideDispatchGroups(bool firstRound)
             anyPending |= cAvail | sAvail;
             contAll &= cAvail;
             spawnAll &= sAvail;
-            int free = outCapA[di] -
+            int free = outCap<Src>(di) -
                        outCount[static_cast<size_t>(outsBase[di])];
             if (free < 1)
                 contNotFull = false;
@@ -1670,6 +1698,7 @@ ParallelEngine::decideDispatchGroups(bool firstRound)
     }
 }
 
+template <bool Src>
 __attribute__((flatten)) void
 ParallelEngine::scanRegion(int r, bool firstRound)
 {
@@ -1678,7 +1707,7 @@ ParallelEngine::scanRegion(int r, bool firstRound)
     R.candMem.clear();
     R.candAddr.clear();
     const auto &seq = regSeq[static_cast<size_t>(r)];
-    const bool hasShare = !shareMembers.empty();
+    const bool masked = !R.scanMask.empty();
     // Round 1 walks the live set in place (it must survive for the
     // census) unioned with any force-dispatched gates parked in
     // roundBits; later rounds consume the woken-set bitmap.
@@ -1688,6 +1717,8 @@ ParallelEngine::scanRegion(int r, bool firstRound)
             R.roundBits[w] = 0;
         if (firstRound)
             bits |= R.liveBits[w];
+        if (masked)
+            bits &= R.scanMask[w];
         if (!bits)
             continue;
         while (bits) {
@@ -1695,8 +1726,7 @@ ParallelEngine::scanRegion(int r, bool firstRound)
             bits &= bits - 1;
             NodeId id = seq[w * 64 + static_cast<size_t>(b)];
             const size_t i = static_cast<size_t>(id);
-            // Share-group members select in the coordinated pass.
-            if (firedB[i] || (hasShare && shareOfA[i] >= 0))
+            if (firedB[i])
                 continue;
             if (predB[i]) {
                 // The census precomputed this cycle's verdict (no
@@ -1713,7 +1743,7 @@ ParallelEngine::scanRegion(int r, bool firstRound)
             }
             bool memReady = false;
             Word addr = 0;
-            uint8_t why = scanCanFire(id, memReady, addr, cycle);
+            uint8_t why = scanCanFire<Src>(id, memReady, addr, cycle);
             if (memReady) {
                 // Verdict (Bank vs No) is stamped in the
                 // coordinated arbitration pass.
@@ -1736,10 +1766,12 @@ ParallelEngine::runShare(int w, Phase phase, bool firstRound)
 {
     const int K = plan.count;
     for (int r = w; r < K; r += physThreads) {
-        if (phase == Phase::Scan)
-            scanRegion(r, firstRound);
-        else
-            censusRegion(r);
+        if (phase == Phase::Scan) {
+            sourceMode ? scanRegion<true>(r, firstRound)
+                       : scanRegion<false>(r, firstRound);
+        } else {
+            sourceMode ? censusRegion<true>(r) : censusRegion<false>(r);
+        }
     }
 }
 
@@ -1795,6 +1827,7 @@ ParallelEngine::workerMain(int w)
     }
 }
 
+template <bool Src>
 void
 ParallelEngine::runFixpoint()
 {
@@ -1803,7 +1836,7 @@ ParallelEngine::runFixpoint()
     // Round 1 scans liveBits in place (no copy into roundBits);
     // roundBits carries only force-dispatched gates at that point.
     for (bool firstRound = true;; firstRound = false) {
-        decideDispatchGroups(firstRound);
+        decideDispatchGroups<Src>(firstRound);
         // A SyncPlane decision fires every gate of the group, woken
         // or not.
         if (!greedyDispatch) {
@@ -1889,7 +1922,7 @@ ParallelEngine::runFixpoint()
             if (nextShared < shareMembers.size() &&
                 (best < 0 || shareMembers[nextShared] < bid)) {
                 NodeId sid = shareMembers[nextShared++];
-                if (selectShared(sid))
+                if (selectShared<Src>(sid))
                     fireList.push_back(sid);
                 continue;
             }
@@ -1937,7 +1970,7 @@ ParallelEngine::runFixpoint()
                     loopIdA[static_cast<size_t>(id)])] == GcSpawn) {
                 spawned = true;
             }
-            commitFire(id);
+            commitFire<Src>(id);
         }
         if (spawned)
             nextThreadTag++;
@@ -1955,6 +1988,7 @@ ParallelEngine::runFixpoint()
     // wrote nextBits (wakes only touch it while inPeFixpoint).
 }
 
+template <bool Src>
 bool
 ParallelEngine::selectShared(NodeId id)
 {
@@ -1973,7 +2007,7 @@ ParallelEngine::selectShared(NodeId id)
             const size_t oi = static_cast<size_t>(other);
             if (other == id || (!nocA[oi] && firedB[oi]))
                 continue;
-            if (canFireFull(other) == VNo) {
+            if (canFireFull<Src>(other) == VNo) {
                 stats.shareConflicts++;
                 return false;
             }
@@ -1981,7 +2015,7 @@ ParallelEngine::selectShared(NodeId id)
     }
     bool memReady = false;
     Word addr = 0;
-    uint8_t why = scanCanFire(id, memReady, addr, cycle);
+    uint8_t why = scanCanFire<Src>(id, memReady, addr, cycle);
     const size_t bank = static_cast<uint32_t>(addr) %
                         static_cast<uint32_t>(memBanks);
     if (memReady && bankClaimedAt[bank] == cycle)
@@ -2001,6 +2035,7 @@ ParallelEngine::selectShared(NodeId id)
     return true;
 }
 
+template <bool Src>
 __attribute__((flatten)) void
 ParallelEngine::censusRegion(int r)
 {
@@ -2024,7 +2059,7 @@ ParallelEngine::censusRegion(int r)
                 // Reuse the last round's verdict when no wake
                 // arrived after that evaluation.
                 uint8_t why = freshB[i] ? lastVerdictA[i]
-                                        : canFireFull(id);
+                                        : canFireFull<Src>(id);
                 bool woken = wokenB[i] != 0;
                 // A SyncPlane gate's verdict flips when its group
                 // decides — no wake event — so it never dorms.
@@ -2058,7 +2093,7 @@ ParallelEngine::censusRegion(int r)
                         // enabling event wakes it back up.
                         bool memNext = false;
                         Word addrNext = 0;
-                        uint8_t next = scanCanFire(id, memNext,
+                        uint8_t next = scanCanFire<Src>(id, memNext,
                                                    addrNext,
                                                    cycle + 1);
                         if (!memNext && next == VInput) {
@@ -2119,6 +2154,7 @@ ParallelEngine::censusRegion(int r)
     }
 }
 
+template <bool Src>
 void
 ParallelEngine::nocSettle(bool pruneLive)
 {
@@ -2134,24 +2170,35 @@ ParallelEngine::nocSettle(bool pruneLive)
     std::copy(liveNocBits.begin(), liveNocBits.end(),
               nocSweepBits.begin());
     for (;;) {
+        bool anyFired = false;
         for (int w = 0; w < nocWords; w++) {
-            // Re-read the word after every fire: a wake may add a
-            // router op further along this sweep.
-            while (uint64_t bits = nocSweepBits[static_cast<size_t>(w)]) {
+            uint64_t bits = nocSweepBits[static_cast<size_t>(w)];
+            nocSweepBits[static_cast<size_t>(w)] = 0;
+            while (bits) {
                 int b = __builtin_ctzll(bits);
-                nocSweepBits[static_cast<size_t>(w)] = bits & (bits - 1);
-                nocCursor = w * 64 + b;
-                NodeId id = prog.nocTopo[static_cast<size_t>(nocCursor)];
+                bits &= bits - 1;
+                NodeId id =
+                    prog.nocTopo[static_cast<size_t>(w) * 64 +
+                                 static_cast<size_t>(b)];
                 if (nocFiredB[static_cast<size_t>(id)])
                     continue;
-                if (canFireFull(id) == VNo) {
+                if (canFireFull<Src>(id) == VNo) {
                     nocFiredB[static_cast<size_t>(id)] = 1;
-                    commitFire(id);
+                    nocCursor = w * 64 + b;
+                    commitFire<Src>(id);
+                    anyFired = true;
+                    // Its wakes may add router ops further along
+                    // this word.
+                    bits |= nocSweepBits[static_cast<size_t>(w)];
+                    nocSweepBits[static_cast<size_t>(w)] = 0;
                 }
             }
         }
         // Wakes behind the cursor collected the next sweep's
-        // candidates (this sweep's bits are all consumed).
+        // candidates (this sweep's bits are all consumed); without a
+        // fire there were no wakes.
+        if (!anyFired)
+            break;
         bool more = false;
         for (uint64_t word : nocNextBits)
             more |= word != 0;
@@ -2285,6 +2332,16 @@ ParallelEngine::run(MemImage &memImage, int64_t maxCyclesOverride)
     const int64_t maxCycles = maxCyclesOverride > 0
                                   ? maxCyclesOverride
                                   : prog.cfg.maxCycles;
+    // The buffering mode is fixed per Program: pick the cycle loop
+    // once, so destination-buffered runs never test for source rings.
+    return sourceMode ? runCycles<true>(maxCycles)
+                      : runCycles<false>(maxCycles);
+}
+
+template <bool Src>
+SimResult
+ParallelEngine::runCycles(int64_t maxCycles)
+{
     const bool hasChannels = prog.hasChannels;
     const int K = plan.count;
     SimResult result;
@@ -2292,27 +2349,28 @@ ParallelEngine::run(MemImage &memImage, int64_t maxCyclesOverride)
     for (cycle = 0; cycle < maxCycles; cycle++) {
         activeFlag = false;
         // Per-cycle flags are bytes cleared in bulk: for fabric-sized
-        // n a memset is cheaper than the cycle-stamp compares it
-        // replaces in the scan and census walks.
-        std::memset(freshB.data(), 0, freshB.size());
-        std::memset(wokenB.data(), 0, wokenB.size());
-        std::memset(firedB.data(), 0, firedB.size());
-        std::memset(nocFiredB.data(), 0, nocFiredB.size());
+        // n a byte fill is cheaper than the cycle-stamp compares it
+        // replaces in the scan and census walks. (Not a raw memset:
+        // an empty program's vectors have null data.)
+        std::fill(freshB.begin(), freshB.end(), 0);
+        std::fill(wokenB.begin(), wokenB.end(), 0);
+        std::fill(firedB.begin(), firedB.end(), 0);
+        std::fill(nocFiredB.begin(), nocFiredB.end(), 0);
         std::fill(shareUsedA.begin(), shareUsedA.end(), 0);
 
         drainPhase();
-        memCompletionsPhase();
+        memCompletionsPhase<Src>();
         if (hasChannels)
             channelsPhase();
 
         // Router CF settles over tokens left from the previous
         // cycle before the PEs sample their inputs.
         bornStamp = cycle - 1;
-        nocSettle(false);
+        nocSettle<Src>(false);
 
         // Sequential (PE) firing to a fixpoint within the cycle.
         bornStamp = cycle;
-        runFixpoint();
+        runFixpoint<Src>();
 
         // Stall census per region, then serial aggregation
         // (int64 sums are order-independent).
@@ -2325,7 +2383,7 @@ ParallelEngine::run(MemImage &memImage, int64_t maxCyclesOverride)
         }
 
         // Pass 3: combinational CF-in-NoC evaluation.
-        nocSettle(true);
+        nocSettle<Src>(true);
 
         if (!failure.empty()) {
             flushPortReads();

@@ -136,20 +136,29 @@ class ParallelEngine
 
     // --- hot helpers (defined in parallel.cc) -----------------------
     inline bool avail(int ip) const;
+    /** Output FIFO/ring depth of node @p i : the uniform depth under
+     *  destination buffering, per node (router CF shallower) under
+     *  source buffering. */
+    template <bool Src>
+    inline int outCap(size_t i) const;
     inline bool consumersAccept(dfg::NodeId id, int port) const;
+    template <bool Src>
     inline bool outSpace(dfg::NodeId id, int port, int need) const;
     /** Returns true when the token landed at the FIFO head (the
      *  only case where the consumer's avail state can change). */
     inline bool pushIn(int ip, Word value, int32_t tag, int64_t born);
     inline void deliver(dfg::NodeId from, int port, Word value,
                         int32_t tag);
+    template <bool Src>
     void emit(dfg::NodeId id, int port, Word value, int32_t tag);
     struct Tok
     {
         Word value = 0;
         int32_t tag = NoTag;
     };
+    template <bool Src>
     inline Tok peekIn(dfg::NodeId id, int in) const;
+    template <bool Src>
     Tok consumeIn(dfg::NodeId id, int in);
     /** @{ Source buffering: producer output rings read by every
      *  consumer endpoint through its own cursor. */
@@ -173,10 +182,13 @@ class ParallelEngine
      *  current verdict, `cycle + 1` for the census' next-cycle
      *  prediction (every avail stamp is at most cycle + 1, so one
      *  cycle of lookahead is exact absent further wakes). */
+    template <bool Src>
     uint8_t scanCanFire(dfg::NodeId id, bool &memReady, Word &addr,
                         int64_t horizon);
     /** Full verdict including the bank check (census / NoC). */
+    template <bool Src>
     uint8_t canFireFull(dfg::NodeId id);
+    template <bool Src>
     void commitFire(dfg::NodeId id);
     /** Structural wake: space freed / state changed — the node's
      *  verdict may flip within the current cycle. */
@@ -210,23 +222,33 @@ class ParallelEngine
      *  per group per cycle, the current resident yields to a ready
      *  housemate, and conflicts are billed every round. Claims the
      *  bank of a memory member. True when @p id fires. */
+    template <bool Src>
     bool selectShared(dfg::NodeId id);
     void flushPortReads();
 
     // --- cycle phases -----------------------------------------------
     void drainPhase();
+    template <bool Src>
     void memCompletionsPhase();
     void channelsPhase();
+    template <bool Src>
     void decideDispatchGroups(bool firstRound);
+    template <bool Src>
     void nocSettle(bool pruneLive);
+    template <bool Src>
     void scanRegion(int r, bool firstRound);
+    template <bool Src>
     void censusRegion(int r);
     /** Run @p phase over every region: inline, or fanned out to the
      *  persistent workers (thread w takes regions w, w+T, ...). */
     void runPhase(Phase phase, bool firstRound);
     void runShare(int w, Phase phase, bool firstRound);
     void workerMain(int w);
+    template <bool Src>
     void runFixpoint();
+    /** run()'s cycle loop for one buffering mode. */
+    template <bool Src>
+    SimResult runCycles(int64_t maxCycles);
     bool quiescentSlow() const;
     std::string diagnose() const;
 
@@ -350,6 +372,9 @@ class ParallelEngine
     struct alignas(64) Region
     {
         std::vector<uint64_t> liveBits, roundBits, nextBits;
+        /** With share groups: the PEs the scan visits (members
+         *  select in the coordinated pass). Empty without. */
+        std::vector<uint64_t> scanMask;
         std::vector<int32_t> candFire;   ///< scan: fire-ready, asc
         std::vector<int32_t> candMem;    ///< scan: mem candidates
         std::vector<Word> candAddr;      ///< parallel to candMem
