@@ -87,7 +87,7 @@ constexpr int64_t kMaxTilesPerAxis = 8;
 constexpr int64_t kMaxBatch = 256;
 
 /** Read integer field @p name into @p out when present; false with
- *  @p error set when it lies outside [@p lo, @p hi]. */
+ *  @p error set when it is not a whole number in [@p lo, @p hi]. */
 bool
 readBounded(const trace::JsonValue &v, const char *name, int64_t lo,
             int64_t hi, int &out, std::string &error)
@@ -99,9 +99,10 @@ readBounded(const trace::JsonValue &v, const char *name, int64_t lo,
     // integer first would be undefined.
     const double x = f->asDouble(std::nan(""));
     if (!(x >= static_cast<double>(lo) &&
-          x <= static_cast<double>(hi))) {
-        error = csprintf("\"%s\" must be in [%lld, %lld]", name,
-                         static_cast<long long>(lo),
+          x <= static_cast<double>(hi)) ||
+        x != std::trunc(x)) {
+        error = csprintf("\"%s\" must be an integer in [%lld, %lld]",
+                         name, static_cast<long long>(lo),
                          static_cast<long long>(hi));
         return false;
     }

@@ -373,7 +373,8 @@ TEST(ServeRanges, DepthOutsideRangeIsAnErrorNotAnAbort)
     expectRangeRejected("depth",
                         {"\"depth\":0", "\"depth\":-3",
                          "\"depth\":257", "\"depth\":100000000",
-                         "\"depth\":1e300", "\"depth\":\"4\""},
+                         "\"depth\":1e300", "\"depth\":\"4\"",
+                         "\"depth\":2.5"},
                         "\"depth\":256");
 }
 
@@ -381,7 +382,8 @@ TEST(ServeRanges, UnrollOutsideRangeIsAnErrorNotAnAbort)
 {
     expectRangeRejected("unroll",
                         {"\"unroll\":3", "\"unroll\":0",
-                         "\"unroll\":-2", "\"unroll\":128"},
+                         "\"unroll\":-2", "\"unroll\":128",
+                         "\"unroll\":2.5"},
                         "\"unroll\":2");
 }
 
@@ -397,7 +399,7 @@ TEST(ServeRanges, BatchOutsideRangeIsAnErrorNotAnAbort)
 {
     expectRangeRejected("batch",
                         {"\"batch\":100000000", "\"batch\":0",
-                         "\"batch\":257"},
+                         "\"batch\":257", "\"batch\":2.5"},
                         "\"batch\":2");
 }
 
