@@ -10,8 +10,8 @@
  *   pstool compile <file.sir>   compile and report fit/threading
  *   pstool run <file.sir>       compile, map, simulate, verify
  *   pstool scalar <file.sir>    sequential interpreter only
- *   pstool bench-sim <file.sir> time a scheduler against the
- *                               DenseScan reference
+ *   pstool bench-sim <file.sir> time the parallel engine against
+ *                               the DenseScan reference
  *   pstool bench-sim-par        parallel engine vs DenseScan oracle
  *                               sweep; writes BENCH_sim_par.json
  *   pstool trace <file.sir>     simulate under observation; write a
@@ -104,7 +104,6 @@ struct Options
     bool crossCheck = false; ///< lint: simulate and compare verdicts
     int seeds = 4;            ///< map: portfolio restarts
     int jobs = 1;             ///< map/bench-sim: worker threads
-    std::string scheduler;    ///< bench-sim: contender scheduler
     uint64_t seed = 1;        ///< map: base RNG seed
     int iterations = 20000;   ///< map: total anneal budget
     /** Fabric topology from --fabric=WxH[,tiles=TXxTY,...] and the
@@ -150,10 +149,9 @@ constexpr Command kCommands[] = {
     {"scalar", "", "run the sequential interpreter only",
      cmdScalar},
     {"bench-sim",
-     "[--variant=V --depth=N --unroll=N --scheduler=dense|"
-     "parallel --jobs=N]",
-     "time a scheduler against the DenseScan reference (default "
-     "contender: parallel, which must be bit-identical)",
+     "[--variant=V --depth=N --unroll=N --jobs=N]",
+     "time the parallel engine against the DenseScan reference "
+     "(must be bit-identical)",
      cmdBenchSim},
     {"trace",
      "[--variant=V --depth=N --unroll=N --out=F --stalls=F "
@@ -330,8 +328,6 @@ parseArgs(int argc, char **argv)
             opts.seeds = std::atoi(value("--seeds=").c_str());
         } else if (arg.rfind("--jobs=", 0) == 0) {
             opts.jobs = std::atoi(value("--jobs=").c_str());
-        } else if (arg.rfind("--scheduler=", 0) == 0) {
-            opts.scheduler = value("--scheduler=");
         } else if (arg.rfind("--seed=", 0) == 0) {
             opts.seed = static_cast<uint64_t>(
                 std::atoll(value("--seed=").c_str()));
@@ -671,26 +667,16 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
     cfg.bufferDepth = opts.depth;
     const int reps = 3;
 
-    // --scheduler picks the contender timed against the DenseScan
-    // oracle: parallel (the default engine) or dense itself. --jobs
-    // caps the parallel contender's regions and threads (the
-    // engine's default thread policy picks the rest).
-    const std::string sched =
-        opts.scheduler.empty() ? "parallel" : opts.scheduler;
-    if (sched != "dense" && sched != "parallel")
-        fatal("--scheduler=%s: expected dense or parallel",
-              sched.c_str());
-    const bool parallel = sched == "parallel";
-
     auto refCfg = cfg;
     refCfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
     SimTiming dense = timeSim(res.graph, kernel, refCfg, reps);
 
+    // --jobs caps the parallel engine's regions and threads (its
+    // default thread policy picks the rest).
     auto conCfg = cfg;
     conCfg.scheduler = sim::SimConfig::Scheduler::ParallelRegions;
     conCfg.parallelJobs = opts.jobs;
-    SimTiming con =
-        parallel ? timeSim(res.graph, kernel, conCfg, reps) : dense;
+    SimTiming con = timeSim(res.graph, kernel, conCfg, reps);
 
     // The parallel engine's contract is stronger than matching
     // cycle counts: every stats field must be bit-identical.
@@ -726,22 +712,20 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
             .add("nodes", res.graph.size())
             .add("cycles", dense.cycles)
             .add("bound_cycles", boundEval.certifiedCycles)
-            .add("scheduler", sched)
-            .add("dense_ms", dense.ms);
-        if (parallel)
-            r.add("parallel_ms", con.ms).add("jobs", opts.jobs);
-        r.add("speedup", speedup).add("identical", true);
+            .add("dense_ms", dense.ms)
+            .add("parallel_ms", con.ms)
+            .add("jobs", opts.jobs)
+            .add("speedup", speedup)
+            .add("identical", true);
         std::printf("%s\n", r.toJson().c_str());
     } else {
         std::printf("%s: %d operators, %lld cycles\n"
-                    "  dense-scan  %9.3f ms\n",
+                    "  dense-scan  %9.3f ms\n"
+                    "  parallel    %9.3f ms  (%.2fx speedup, "
+                    "bit-identical)\n",
                     kernel.name.c_str(), res.graph.size(),
-                    static_cast<long long>(dense.cycles), dense.ms);
-        if (parallel) {
-            std::printf("  parallel    %9.3f ms  (%.2fx speedup, "
-                        "bit-identical)\n",
-                        con.ms, speedup);
-        }
+                    static_cast<long long>(dense.cycles), dense.ms,
+                    con.ms, speedup);
     }
     return 0;
 }
